@@ -128,7 +128,9 @@ class Experiment:
                 return pair_from_catalog(spec, self.klass.p_body, self.grid)
             raise ConfigurationError(f"unknown bundled pair {spec!r}")
         if isinstance(spec, dict) and "seed_index" in spec:
-            k = int(spec["seed_index"])
+            k = spec["seed_index"]
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise ConfigurationError(f"seed_index must be a non-negative integer, got {k!r}")
             pairs = random_dual_pairs(self.seed, k + 1, self.klass.p_body, self.grid)
             return pairs[k]
         if isinstance(spec, (list, tuple)) and len(spec) == 2:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, ClassBody
-from .duality import DualPotential, PrimalPotential, convexify_moment_values
+from .bodies import Body
+from .duality import DualPotential, PrimalPotential
 from .grids import ConfigurationError, MomentGrid, SpatialGrid
 
 INF = float("inf")
@@ -65,19 +65,6 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
     ),
     "dual_vee": ClosedForm("dual", lambda p: abs(p - 0.5), "|p - 1/2| kink"),
 }
-
-
-def eval_closed_form(expr_id: str, point) -> float:
-    """Evaluate a corpus closed form at a scalar (1d) or pair (2d) point."""
-    if expr_id not in CLOSED_FORMS:
-        raise ConfigurationError(f"unknown closed form {expr_id!r}")
-    form = CLOSED_FORMS[expr_id]
-    if np.isscalar(point):
-        return float(form.fn(float(point)))
-    point = tuple(float(v) for v in np.atleast_1d(point))
-    if len(point) == 1:
-        return float(form.fn(point[0]))
-    return float(form.fn(*point))
 
 
 def sample_closed_form(expr_id: str, grid) -> np.ndarray:

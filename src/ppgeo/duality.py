@@ -8,6 +8,8 @@ O(N*M) evaluation is kept as a reference oracle behind the ``brute`` flag.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,21 +72,30 @@ def conjugate_nd(values: np.ndarray, node_axes: list[np.ndarray],
     return _conjugate_along_axis(-inner, node_axes[1], query_axes[1], 1, brute)
 
 
-def second_difference_slack(values: np.ndarray, finite_only: bool = True) -> float:
-    """Most negative second difference along axes (and diagonals in 2d)."""
-    v = values
+_SHIFT = {1: slice(2, None), 0: slice(None), -1: slice(None, -2)}
+
+
+def second_differences(v: np.ndarray) -> Iterator[np.ndarray]:
+    """Second differences along each axis, then along each full diagonal.
+
+    A diagonal and its reverse give the same stencil; the direction with
+    more positive steps (on a tie, a positive first step) is the one kept.
+    In 1d the axis is the only diagonal.
+    """
+    n = v.ndim
+    steps = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    if n > 1:
+        steps += [s for s in itertools.product((1, -1), repeat=n) if (sum(s), s[0]) > (0, 0)]
+    for s in steps:
+        mid = tuple(slice(1, -1) if k else slice(None) for k in s)
+        yield v[tuple(_SHIFT[k] for k in s)] - 2 * v[mid] + v[tuple(_SHIFT[-k] for k in s)]
+
+
+def second_difference_slack(values: np.ndarray) -> float:
+    """Most negative finite second difference (axes and diagonals), or 0."""
     worst = 0.0
-    diffs = []
-    if v.ndim == 1:
-        diffs.append(v[2:] - 2 * v[1:-1] + v[:-2])
-    else:
-        diffs.append(v[2:, :] - 2 * v[1:-1, :] + v[:-2, :])
-        diffs.append(v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2])
-        diffs.append(v[2:, 2:] - 2 * v[1:-1, 1:-1] + v[:-2, :-2])
-        diffs.append(v[2:, :-2] - 2 * v[1:-1, 1:-1] + v[:-2, 2:])
-    for d in diffs:
-        if finite_only:
-            d = d[np.isfinite(d)]
+    for d in second_differences(values):
+        d = d[np.isfinite(d)]
         if d.size:
             worst = min(worst, float(d.min()))
     return worst
@@ -186,15 +197,23 @@ def to_primal(g: DualPotential, target: SpatialGrid, brute: bool = False) -> Pri
     return PrimalPotential(target, vals, body=g.body, provenance=g.provenance)
 
 
+def _hull_1d(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Lower convex hull of the finite samples, read back on x; +inf outside them."""
+    finite = np.isfinite(values)
+    xf, vf = x[finite], values[finite]
+    hull = lower_hull_indices(xf, vf)
+    out = np.interp(x, xf[hull], vf[hull])
+    out[(x < xf[0]) | (x > xf[-1])] = np.inf
+    return out
+
+
 def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
     """Largest grid-convex function below f (lower convex hull); idempotent."""
     grid = f.grid
     if not isinstance(grid, SpatialGrid):
         raise ConfigurationError("convexify expects a spatial sampled function")
     if grid.ndim == 1:
-        x = grid.axes()[0]
-        hull = lower_hull_indices(x, f.values)
-        vals = np.interp(x, x[hull], f.values[hull])
+        vals = _hull_1d(grid.axes()[0], f.values)
         return PrimalPotential(grid, vals, body=body, provenance=f.provenance)
     # 2d: double conjugate over a slope box covering all achieved gradients
     axes = grid.axes()
@@ -212,13 +231,7 @@ def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
 def convexify_moment_values(grid: MomentGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex hull of values sampled on a moment grid (finite part)."""
     if grid.ndim == 1:
-        x = grid.axes()[0]
-        finite = np.isfinite(values)
-        hull = lower_hull_indices(x[finite], values[finite])
-        out = np.interp(x, x[finite][hull], values[finite][hull])
-        out[~finite & (x < x[finite].min())] = np.inf
-        out[~finite & (x > x[finite].max())] = np.inf
-        return out
+        return _hull_1d(grid.axes()[0], values)
     axes = grid.axes()
     star = conjugate_nd(values, axes, axes)  # slopes reused as a generous box
     return conjugate_nd(star, axes, axes)

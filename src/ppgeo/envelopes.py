@@ -7,6 +7,7 @@ oracle behind the ``iterative`` flag.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,27 +19,23 @@ from .duality import (
     PrimalPotential,
     conjugate_nd,
     convexify,
-    to_primal,
+    second_differences,
 )
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
+from .grids import (
+    ConfigurationError,
+    MomentGrid,
+    SampledFunction,
+    SpatialGrid,
+    moment_grid,
+    tensor_nodes,
+)
+from .measures import hessian_density, ma_atomic
 
 
 def estimate_hessian_bound(f: SampledFunction) -> float:
     """Largest discrete second difference of the obstacle, per unit area."""
-    grid = f.grid
-    v = f.values
-    bound = 0.0
-    if grid.ndim == 1:
-        h = grid.spacing[0]
-        if v.size >= 3:
-            bound = float(np.max(np.abs(v[2:] - 2 * v[1:-1] + v[:-2])) / h**2)
-    else:
-        hx, hy = grid.spacing
-        bound = max(
-            float(np.max(np.abs(v[2:, :] - 2 * v[1:-1, :] + v[:-2, :])) / hx**2),
-            float(np.max(np.abs(v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2])) / hy**2),
-        )
-    return bound
+    axis_diffs = itertools.islice(second_differences(f.values), f.grid.ndim)
+    return max(float(np.max(np.abs(d))) / h**2 for d, h in zip(axis_diffs, f.grid.spacing))
 
 
 def contact_tolerance(spacing: float, hessian_bound: float) -> float:
@@ -116,9 +113,7 @@ def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid,
     axes = _fine_slope_axes(body, grid, refine)
     star = conjugate_nd(f.values, f.grid.axes(), axes)
     if grid.ndim == 2:
-        px, py = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.stack([px.ravel(), py.ravel()], axis=1)
-        inside = body.contains(nodes).reshape(star.shape)
+        inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
         star = np.where(inside, star, np.inf)
     return conjugate_nd(star, axes, f.grid.axes())
 
@@ -167,11 +162,8 @@ def envelope_density(rec: EnvelopeRecord, refine: int = 16) -> np.ndarray:
     spike noise that second differences of a slope-quantized reconstruction
     would produce.
     """
-    from .grids import moment_grid as _mg
-    from .measures import ma_atomic
-
     f = rec.obstacle
-    fine = _mg(rec.body, tuple(refine * c for c in rec.dual.grid.cells))
+    fine = moment_grid(rec.body, tuple(refine * c for c in rec.dual.grid.cells))
     star = conjugate_nd(f.values, f.grid.axes(), fine.axes())
     star = np.where(fine.mask, star, np.inf)
     atoms = ma_atomic(DualPotential(rec.body, fine, star, provenance=f.provenance))
@@ -204,27 +196,7 @@ def measure_identity_residual(rec: EnvelopeRecord, refine: int = 16) -> float:
     """
     rho_env = envelope_density(rec, refine)
     # the obstacle need not be convex; compute its density field directly
-    rho_f = _raw_density(rec.obstacle)
+    rho_f = np.maximum(hessian_density(rec.obstacle.values, rec.obstacle.grid), 0.0)
     cell = float(np.prod(rec.primal.grid.spacing))
     return float(np.sum(np.abs(rho_env - rec.contact_mask * rho_f)) * cell)
 
-
-def _raw_density(f: SampledFunction) -> np.ndarray:
-    grid = f.grid
-    v = f.values
-    if grid.ndim == 1:
-        h = grid.spacing[0]
-        rho = np.zeros_like(v)
-        rho[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
-    else:
-        hx, hy = grid.spacing
-        vxx = np.zeros_like(v)
-        vyy = np.zeros_like(v)
-        vxy = np.zeros_like(v)
-        vxx[1:-1, :] = (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / (hx * hx)
-        vyy[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (hy * hy)
-        vxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
-        rho = vxx * vyy - vxy * vxy
-        rho[0, :] = rho[-1, :] = 0.0
-        rho[:, 0] = rho[:, -1] = 0.0
-    return np.maximum(rho, 0.0)

@@ -7,11 +7,11 @@ are certified a posteriori instead of solving a space-time envelope problem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualPotential, conjugate_nd
+from .duality import DualPotential, conjugate_nd, second_differences
 from .grids import ConfigurationError, SpatialGrid
 
 
@@ -162,7 +162,8 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
             dt = ts[j] - ts[i]
             lip = max(lip, float(np.abs(samples[..., j] - samples[..., i]).max()) / dt)
 
-    convexity_slack = -_joint_convexity_slack(samples)
+    # most negative second difference over space-time axes and diagonals
+    convexity_slack = -min(float(d.min()) for d in second_differences(samples))
 
     dt = ts[1] - ts[0]
     ma_residual = _spacetime_ma_residual(samples, grid, dt)
@@ -175,29 +176,6 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
         "spacetime_ma_residual": ma_residual,
         "endpoint_sup_difference": sup_diff,
     }
-
-
-def _joint_convexity_slack(samples: np.ndarray) -> float:
-    """Most negative second difference over space-time axes and diagonals."""
-    worst = 0.0
-    v = samples
-    diffs = []
-    if v.ndim == 2:  # (x, t)
-        diffs.append(v[2:, :] - 2 * v[1:-1, :] + v[:-2, :])
-        diffs.append(v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2])
-        diffs.append(v[2:, 2:] - 2 * v[1:-1, 1:-1] + v[:-2, :-2])
-        diffs.append(v[2:, :-2] - 2 * v[1:-1, 1:-1] + v[:-2, 2:])
-    else:  # (x, y, t)
-        for axis in range(3):
-            s = [slice(None)] * 3
-            s2, s1, s0 = list(s), list(s), list(s)
-            s2[axis], s1[axis], s0[axis] = slice(2, None), slice(1, -1), slice(None, -2)
-            diffs.append(v[tuple(s2)] - 2 * v[tuple(s1)] + v[tuple(s0)])
-        diffs.append(v[2:, 2:, 2:] - 2 * v[1:-1, 1:-1, 1:-1] + v[:-2, :-2, :-2])
-        diffs.append(v[2:, 2:, :-2] - 2 * v[1:-1, 1:-1, 1:-1] + v[:-2, :-2, 2:])
-        diffs.append(v[2:, :-2, 2:] - 2 * v[1:-1, 1:-1, 1:-1] + v[:-2, 2:, :-2])
-        diffs.append(v[:-2, 2:, 2:] - 2 * v[1:-1, 1:-1, 1:-1] + v[2:, :-2, :-2])
-    return min(float(d.min()) for d in diffs)
 
 
 def _spacetime_ma_residual(samples: np.ndarray, grid: SpatialGrid, dt: float) -> float:

@@ -22,10 +22,32 @@ class SingularIntegrandError(ValueError):
     """+inf value met at a positive-weight node without a truncation cap."""
 
 
+def check_p(p: float) -> None:
+    """The metric exponent must be finite and at least 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ConfigurationError(f"need a finite p >= 1, got {p}")
+
+
 def _as_tuple(x) -> tuple:
     if np.isscalar(x):
         return (float(x),)
     return tuple(float(v) for v in x)
+
+
+def _spacing(lo, hi, cells) -> tuple:
+    return tuple((h - l) / c for l, h, c in zip(lo, hi, cells))
+
+
+def _cell_centers(lo, hi, cells) -> list[np.ndarray]:
+    return [l + (np.arange(c) + 0.5) * s for l, c, s in zip(lo, cells, _spacing(lo, hi, cells))]
+
+
+def tensor_nodes(axes: list[np.ndarray]) -> np.ndarray:
+    """All points of the tensor grid of ``axes``, shape (N, ndim)."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    g = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a.ravel() for a in g], axis=1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +78,7 @@ class SpatialGrid:
 
     @property
     def spacing(self) -> tuple:
-        return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
+        return _spacing(self.lo, self.hi, self.cells)
 
     @property
     def shape(self) -> tuple:
@@ -67,11 +89,7 @@ class SpatialGrid:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (N, ndim)."""
-        axs = self.axes()
-        if self.ndim == 1:
-            return axs[0][:, None]
-        g = np.meshgrid(*axs, indexing="ij")
-        return np.stack([a.ravel() for a in g], axis=1)
+        return tensor_nodes(self.axes())
 
 
 @dataclass(frozen=True)
@@ -95,24 +113,17 @@ class MomentGrid:
 
     @property
     def spacing(self) -> tuple:
-        return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
+        return _spacing(self.lo, self.hi, self.cells)
 
     @property
     def shape(self) -> tuple:
         return tuple(self.cells)
 
     def axes(self) -> list[np.ndarray]:
-        return [
-            l + (np.arange(c) + 0.5) * s
-            for l, c, s in zip(self.lo, self.cells, self.spacing)
-        ]
+        return _cell_centers(self.lo, self.hi, self.cells)
 
     def nodes(self) -> np.ndarray:
-        axs = self.axes()
-        if self.ndim == 1:
-            return axs[0][:, None]
-        g = np.meshgrid(*axs, indexing="ij")
-        return np.stack([a.ravel() for a in g], axis=1)
+        return tensor_nodes(self.axes())
 
     @property
     def cell_volume(self) -> float:
@@ -125,19 +136,10 @@ def moment_grid(body, cells) -> MomentGrid:
     cells = (cells,) * body.ndim if np.isscalar(cells) else tuple(int(c) for c in cells)
     if any(c < 8 for c in cells):
         raise ConfigurationError("need at least 8 moment cells per axis")
-    spacing = [(h - l) / c for l, h, c in zip(lo, hi, cells)]
-    axs = [l + (np.arange(c) + 0.5) * s for l, c, s in zip(lo, cells, spacing)]
-    if body.ndim == 1:
-        pts = axs[0][:, None]
-        shape = (cells[0],)
-    else:
-        g = np.meshgrid(*axs, indexing="ij")
-        pts = np.stack([a.ravel() for a in g], axis=1)
-        shape = tuple(cells)
-    mask = body.contains(pts).reshape(shape)
+    mask = body.contains(tensor_nodes(_cell_centers(lo, hi, cells))).reshape(cells)
     if not mask.any():
         raise ConfigurationError("body has no interior at this resolution")
-    weights = np.where(mask, float(np.prod(spacing)), 0.0)
+    weights = np.where(mask, float(np.prod(_spacing(lo, hi, cells))), 0.0)
     return MomentGrid(tuple(lo), tuple(hi), cells, mask, weights)
 
 
@@ -174,8 +176,7 @@ def lp_norm_against(values: np.ndarray, grid: MomentGrid, p: float,
 
     +inf at a positive-weight node raises unless ``truncate`` caps it.
     """
-    if p < 1:
-        raise ConfigurationError(f"need p >= 1, got {p}")
+    check_p(p)
     v = np.asarray(values, dtype=float)
     w = grid.weights
     pos = w > 0

@@ -7,14 +7,13 @@ pointwise comparisons).  Cross-checks between them guard both.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Body
-from .duality import DualPotential, PrimalPotential, to_dual, to_primal
-from .grids import ConfigurationError, SpatialGrid
+from .duality import DualPotential, PrimalPotential, second_differences, to_primal
+from .grids import ConfigurationError, SpatialGrid, check_p
 
 NEGATIVE_CLAMP_FRACTION = 1e-6
 
@@ -95,36 +94,30 @@ def ma_atomic(u: DualPotential) -> AtomicMeasure:
     return AtomicMeasure(g[keep], w[keep], provenance=u.provenance)
 
 
-def ma_density(u: PrimalPotential) -> DensityField:
-    """Discrete Hessian density on the spatial grid; negatives clamped."""
-    v = u.values
-    grid = u.grid
+def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Discrete Hessian determinant at the interior nodes, unclamped; 0 on the border."""
+    v = values
     rho = np.zeros_like(v)
-    if grid.ndim == 1:
-        h = grid.spacing[0]
-        rho[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+    inner = (slice(1, -1),) * v.ndim
+    pure = [d / (h * h) for d, h in
+            zip(itertools.islice(second_differences(v), v.ndim), grid.spacing)]
+    if v.ndim == 1:
+        rho[inner] = pure[0]
     else:
         hx, hy = grid.spacing
-        vxx = np.zeros_like(v)
-        vyy = np.zeros_like(v)
-        vxy = np.zeros_like(v)
-        vxx[1:-1, :] = (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / (hx * hx)
-        vyy[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (hy * hy)
-        vxy[1:-1, 1:-1] = (
-            v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
-        ) / (4 * hx * hy)
-        rho = vxx * vyy - vxy * vxy
-        rho[0, :] = rho[-1, :] = 0.0
-        rho[:, 0] = rho[:, -1] = 0.0
+        # the mixed derivative keeps its own four-corner stencil
+        vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
+        rho[inner] = pure[0][:, 1:-1] * pure[1][1:-1, :] - vxy * vxy
+    return rho
+
+
+def ma_density(u: PrimalPotential) -> DensityField:
+    """Discrete Hessian density on the spatial grid; negatives clamped."""
+    grid = u.grid
+    rho = hessian_density(u.values, grid)
     clamped = float(-rho[rho < 0].sum() * np.prod(grid.spacing))
     rho = np.maximum(rho, 0.0)
     return DensityField(grid, rho, clamped_mass=clamped)
-
-
-def density_to_atoms(field_: DensityField, provenance: str = "density") -> AtomicMeasure:
-    w = field_.density.ravel() * float(np.prod(field_.grid.spacing))
-    keep = w > 0
-    return AtomicMeasure(field_.grid.nodes()[keep], w[keep], provenance=provenance)
 
 
 def ma_mixed_pair(u: DualPotential, v: DualPotential, spatial_grid: SpatialGrid,
@@ -194,8 +187,7 @@ def i_p(u: DualPotential, v: DualPotential, p: float) -> float:
     """int |u - v|^p against MA(u) + MA(v), via the atomic pushforwards."""
     if u.grid != v.grid:
         raise ConfigurationError("i_p needs a common moment grid")
-    if p < 1:
-        raise ConfigurationError(f"need p >= 1, got {p}")
+    check_p(p)
     total = 0.0
     for m in (ma_atomic(u), ma_atomic(v)):
         du = u.eval_primal(m.locations) - v.eval_primal(m.locations)

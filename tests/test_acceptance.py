@@ -99,7 +99,7 @@ def test_04_route_agreement(pairs):
         fu = SampledFunction(SPATIAL, to_primal(u, SPATIAL).values, "u")
         fv = SampledFunction(SPATIAL, to_primal(v, SPATIAL).values, "v")
         for p in (1.0, 2.0, 3.0):
-            d_end = dp_endpoint(u, v, p)  # raises if t=0/t=1 forms disagree
+            d_end = dp_endpoint(u, v, p)  # one dual-cell quadrature; the fsum oracle checks it
             worst_oracle = max(
                 worst_oracle,
                 abs(d_end - dp_dual_oracle(u, v, p)) / max(d_end, 1e-15),

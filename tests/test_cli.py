@@ -103,13 +103,26 @@ def test_verify_report_file(config, tmp_path, capsys):
     assert payload["suites"][0]["verdict"] == "pass"
 
 
-def test_config_error_exit_code(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"unknown_key": 1}))
-    rc = main(["distance", "--config", str(bad)])
+@pytest.mark.parametrize(
+    "cfg, argv",
+    [
+        ({"unknown_key": 1}, ["distance"]),
+        (None, ["distance"]),
+        ({}, ["distance", "--p", "nan"]),
+        ({}, ["distance", "--p", "inf"]),
+        ({}, ["distance", "--route", "oracle", "--p", "0.5"]),
+        ({"pair": {"seed_index": -1}}, ["distance"]),
+    ],
+    ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
+         "negative-seed-index"],
+)
+def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
+    path = tmp_path / "config.json"
+    if cfg is not None:
+        path.write_text(json.dumps(cfg))
+    rc = main(argv + ["--config", str(path)])
     assert rc == 2
-    rc = main(["distance", "--config", str(tmp_path / "missing.json")])
-    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_seed_flag_changes_seeded_pair(config, capsys):

@@ -17,7 +17,7 @@ from ppgeo import (
     to_primal,
 )
 from ppgeo.corpus import random_dual
-from ppgeo.duality import convexify_moment_values, lower_hull_indices
+from ppgeo.duality import convexify_moment_values, lower_hull_indices, second_differences
 
 BODY = default_class_body(1).p_body
 GRID = moment_grid(BODY, 256)
@@ -139,3 +139,37 @@ def test_dual_potential_convexity_guard():
     vals[40] += 1.0  # a spike breaks convexity
     u = DualPotential(BODY, GRID, vals, "broken")
     assert not u.check_convex()
+
+
+def _explicit_second_differences(v):
+    """The slice formulas the shared stencil replaced, kept as the reference."""
+    if v.ndim == 1:
+        return [v[2:] - 2 * v[1:-1] + v[:-2]]
+    if v.ndim == 2:
+        return [
+            v[2:, :] - 2 * v[1:-1, :] + v[:-2, :],
+            v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2],
+            v[2:, 2:] - 2 * v[1:-1, 1:-1] + v[:-2, :-2],
+            v[2:, :-2] - 2 * v[1:-1, 1:-1] + v[:-2, 2:],
+        ]
+    c = v[1:-1, 1:-1, 1:-1]
+    return [
+        v[2:, :, :] - 2 * v[1:-1, :, :] + v[:-2, :, :],
+        v[:, 2:, :] - 2 * v[:, 1:-1, :] + v[:, :-2, :],
+        v[:, :, 2:] - 2 * v[:, :, 1:-1] + v[:, :, :-2],
+        v[2:, 2:, 2:] - 2 * c + v[:-2, :-2, :-2],
+        v[2:, 2:, :-2] - 2 * c + v[:-2, :-2, 2:],
+        v[2:, :-2, 2:] - 2 * c + v[:-2, 2:, :-2],
+        v[:-2, 2:, 2:] - 2 * c + v[2:, :-2, :-2],
+    ]
+
+
+@pytest.mark.parametrize("shape", [(40,), (17, 23), (9, 11, 6)])
+def test_second_differences_match_explicit_stencils(shape):
+    v = np.random.default_rng(sum(shape)).normal(size=shape) * 1e3
+    got = list(second_differences(v))
+    want = _explicit_second_differences(v)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)

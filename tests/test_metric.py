@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import ppgeo.metric
 from ppgeo import (
+    Body,
     SampledFunction,
     SpatialGrid,
     d1_energy,
@@ -14,6 +16,7 @@ from ppgeo import (
     dp_limit,
     dp_singular,
     dual_from_form,
+    envelope,
     epsilon_family,
     ma_density,
     ma_solve_1d,
@@ -172,3 +175,37 @@ def test_report_serialization():
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
     assert len(csv_text.splitlines()) == 8
+
+
+def test_endpoint_matches_oracle_on_a_triangle():
+    # +inf envelope duals sit on the zero-weight cells outside the triangle
+    body = Body([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    grid = moment_grid(body, 16)
+    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
+    x, y = np.meshgrid(*sp.axes(), indexing="ij")
+    e0 = envelope(SampledFunction(sp, 0.5 * (x**2 + y**2)), body, grid)
+    e1 = envelope(SampledFunction(sp, 0.5 * ((x - 0.3) ** 2 + 2 * y**2)), body, grid)
+    assert np.isposinf(e0.dual.values).any()
+    for p in (1.0, 2.0, 3.0):
+        d = dp_endpoint(e0.dual, e1.dual, p)
+        assert math.isfinite(d) and d > 0
+        assert abs(d - dp_dual_oracle(e0.dual, e1.dual, p)) <= 1e-9 * d
+
+
+def test_limit_builds_each_envelope_once(monkeypatch):
+    calls = []
+    real = ppgeo.metric.envelope
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ppgeo.metric, "envelope", counting)
+    sp = SpatialGrid((-4.0,), (5.0,), (256,))
+    family = epsilon_family(KLASS, 128)
+    f = SampledFunction(sp, sample_closed_form("quadratic", sp), "quadratic")
+    g = SampledFunction(sp, sample_closed_form("soft_ramp", sp), "soft_ramp")
+    dp_limit(f, g, family, 2.0, hessian_bounds=(1.0, 1.0))
+    # two per perturbed body, two for the base body
+    assert len(family.bodies) == 7
+    assert len(calls) == 16
