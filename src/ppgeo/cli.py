@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -29,7 +29,7 @@ from .corpus import (
 from .duality import to_primal
 from .envelopes import envelope, measure_identity_residual
 from .geodesics import curve_checks, geodesic
-from .grids import ConfigurationError, SampledFunction, SpatialGrid, moment_grid
+from .grids import ConfigurationError, SampledFunction, SpatialGrid, check_p, moment_grid
 from .harness import SUITES, Lab, run_suites
 from .measures import energy, ma_atomic, ma_density
 from .metric import (
@@ -97,21 +97,83 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _at_least(lo: int):
+    return lambda x: _is_int(x) and x >= lo
+
+
+def _list_of(ok, n: int | None = None):
+    return lambda x: (isinstance(x, list) and (n is None or len(x) == n)
+                      and all(ok(e) for e in x))
+
+
+def check_config(cfg: dict) -> None:
+    """Required keys, types and ranges of a config; ConfigurationError if not."""
+    missing = set(DEFAULT_CONFIG) - set(cfg)
+    if missing:
+        raise ConfigurationError(f"missing config keys: {sorted(missing)}")
+    if ("p_body" in cfg) != ("q_body" in cfg):
+        raise ConfigurationError("p_body and q_body must be given together")
+    n = cfg["dimension"]
+    if not _is_int(n) or n not in (1, 2):
+        raise ConfigurationError(f"dimension must be 1 or 2, got {n!r}")
+    cells, reals, vertices = _at_least(8), _list_of(_is_real, n), _list_of(_list_of(_is_real, n))
+    rules = {
+        "moment_cells": (lambda c: cells(c) or _list_of(cells, n)(c),
+                         f"an integer >= 8 or a list of {n} of them"),
+        "spatial": (lambda s: isinstance(s, dict) and set(s) == {"lo", "hi", "cells"}
+                    and reals(s["lo"]) and reals(s["hi"]) and _list_of(cells, n)(s["cells"]),
+                    f"an object with exactly lo, hi and cells, each a list of {n} "
+                    "finite numbers, cells integers >= 8"),
+        "epsilon_schedule": (lambda e: e is None or _list_of(_is_real)(e) and len(e) > 0,
+                             "null or a nonempty list of numbers"),
+        "pair": (lambda s: _is_str(s) or _list_of(_is_str, 2)(s)
+                 or isinstance(s, dict) and set(s) == {"seed_index"}
+                 and _at_least(0)(s["seed_index"]),
+                 'a catalog name, two closed-form ids or {"seed_index": k} with '
+                 "k a non-negative integer"),
+        "obstacles": (lambda o: _list_of(_is_str)(o) and len(o) > 0,
+                      "a nonempty list of closed-form ids"),
+        "potential": (_is_str, "a closed-form id"),
+        "p": (_is_number, "a number"),
+        "seed": (_at_least(0), "a non-negative integer"),
+        "t_samples": (_list_of(lambda t: _is_real(t) and 0 <= t <= 1),
+                      "a list of numbers in [0, 1]"),
+        "suite_pairs": (_at_least(1), "a positive integer"),
+        "p_body": (vertices, f"a list of vertices of {n} finite numbers each"),
+        "q_body": (vertices, f"a list of vertices of {n} finite numbers each"),
+    }
+    for key, (ok, what) in rules.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigurationError(f"{key} must be {what}, got {cfg[key]!r}")
+    check_p(cfg["p"])
+
+
 class Experiment:
     """Grids, bodies and potentials resolved from a config dict."""
 
     def __init__(self, cfg: dict):
+        check_config(cfg)
         self.cfg = cfg
-        ndim = int(cfg["dimension"])
-        if "p_body" in cfg or "q_body" in cfg:
-            try:
-                self.klass = ClassBody(
-                    Body(cfg["p_body"]), Body(cfg["q_body"])
-                )
-            except KeyError as exc:
-                raise ConfigurationError(f"p_body/q_body must be given together: {exc}")
+        if "p_body" in cfg:
+            self.klass = ClassBody(Body(cfg["p_body"]), Body(cfg["q_body"]))
         else:
-            self.klass = default_class_body(ndim)
+            self.klass = default_class_body(cfg["dimension"])
         self.grid = moment_grid(self.klass.p_body, cfg["moment_cells"])
         sp = cfg["spatial"]
         self.spatial = SpatialGrid(tuple(sp["lo"]), tuple(sp["hi"]), tuple(sp["cells"]))
@@ -119,7 +181,7 @@ class Experiment:
             self.klass, cfg["moment_cells"], cfg["epsilon_schedule"]
         )
         self.p = float(cfg["p"])
-        self.seed = int(cfg["seed"])
+        self.seed = cfg["seed"]
 
     def resolve_pair(self):
         spec = self.cfg["pair"]
@@ -127,18 +189,14 @@ class Experiment:
             if spec in PAIR_CATALOG:
                 return pair_from_catalog(spec, self.klass.p_body, self.grid)
             raise ConfigurationError(f"unknown bundled pair {spec!r}")
-        if isinstance(spec, dict) and "seed_index" in spec:
+        if isinstance(spec, dict):
             k = spec["seed_index"]
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ConfigurationError(f"seed_index must be a non-negative integer, got {k!r}")
             pairs = random_dual_pairs(self.seed, k + 1, self.klass.p_body, self.grid)
             return pairs[k]
-        if isinstance(spec, (list, tuple)) and len(spec) == 2:
-            return (
-                dual_from_form(spec[0], self.klass.p_body, self.grid),
-                dual_from_form(spec[1], self.klass.p_body, self.grid),
-            )
-        raise ConfigurationError(f"cannot interpret pair spec {spec!r}")
+        return (
+            dual_from_form(spec[0], self.klass.p_body, self.grid),
+            dual_from_form(spec[1], self.klass.p_body, self.grid),
+        )
 
     def resolve_obstacles(self):
         out = []
@@ -164,6 +222,8 @@ def cmd_distance(exp: Experiment, args) -> int:
     route = args.route
     if route == "limit":
         fs, bounds = exp.resolve_obstacles()
+        if len(fs) < 2:
+            raise ConfigurationError("the limit route needs two obstacles")
         report = dp_limit(fs[0], fs[1], exp.family, exp.p, hessian_bounds=bounds)
     elif route == "singular":
         u0, u1 = exp.resolve_pair()
@@ -252,14 +312,13 @@ def cmd_verify(exp: Experiment, args) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITES)
-    threads = int(os.environ.get("PPGEO_THREADS", "1"))
     pairs = tuple(
         random_dual_pairs(
-            exp.seed, int(exp.cfg["suite_pairs"]), exp.klass.p_body, exp.grid
+            exp.seed, exp.cfg["suite_pairs"], exp.klass.p_body, exp.grid
         )
     )
     lab = Lab(exp.klass, exp.grid, exp.spatial, exp.family, exp.seed, pairs)
-    reports = run_suites(names, lab, exp.p, max_workers=max(1, threads))
+    reports = run_suites(names, lab, exp.p)
     for rep in reports:
         print(rep.to_text())
     if args.out:

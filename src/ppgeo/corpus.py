@@ -68,10 +68,14 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
 
 
 def sample_closed_form(expr_id: str, grid) -> np.ndarray:
-    """Sample a 1d closed form on every node of a grid."""
+    """Sample a 1d closed form on every node of a 1d grid."""
     form = CLOSED_FORMS.get(expr_id)
     if form is None:
         raise ConfigurationError(f"unknown closed form {expr_id!r}")
+    if grid.ndim != 1:
+        raise ConfigurationError(
+            f"closed forms are 1d; cannot sample {expr_id!r} on a {grid.ndim}d grid"
+        )
     pts = grid.axes()[0]
     return np.array([form.fn(float(x)) for x in pts])
 

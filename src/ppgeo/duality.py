@@ -2,9 +2,11 @@
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass computes the hull with a monotone chain
-and then resolves every query slope with a single sorted lookup.  The 2d
-transform factorizes into two 1d passes along the axes.  A brute-force
-O(N*M) evaluation is kept as a reference oracle behind the ``brute`` flag.
+and then resolves every query slope with a single sorted lookup.  A 1d
+double transform over a slope interval is read off the same hull
+(``clamped_hull``).  The 2d transform factorizes into two 1d passes along
+the axes.  A brute-force O(N*M) evaluation is kept as a reference oracle
+behind the ``brute`` flag.
 """
 from __future__ import annotations
 
@@ -21,7 +23,12 @@ CONVEXITY_RTOL = 1e-10
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of the points (x_i, v_i), x ascending."""
+    """Indices of the lower convex hull of the points (x_i, v_i), x ascending.
+
+    The chain runs on Python floats: they round exactly like numpy float64
+    scalars, so the indices are the same, but they index several times faster.
+    """
+    x, v = x.tolist(), v.tolist()
     stack: list[int] = []
     for i in range(len(x)):
         while len(stack) >= 2:
@@ -139,8 +146,15 @@ class DualPotential:
         return self.convexity_slack() >= -CONVEXITY_RTOL * _value_scale(self.values)
 
     def eval_primal(self, points: np.ndarray) -> np.ndarray:
-        """u(x) = max over finite moment nodes of (<p,x> - u*(p))."""
+        """u(x) = max over finite moment nodes of (<p,x> - u*(p)), points shaped (M, ndim).
+
+        In 1d this is a conjugate at the points through the hull of the dual.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.grid.ndim:
+            raise ConfigurationError(f"points must have {self.grid.ndim} columns")
+        if self.grid.ndim == 1:
+            return conjugate_1d(self.grid.axes()[0], self.values, pts[:, 0])
         nodes = self.grid.nodes()
         vals = self.values.ravel()
         finite = np.isfinite(vals)
@@ -197,13 +211,29 @@ def to_primal(g: DualPotential, target: SpatialGrid, brute: bool = False) -> Pri
     return PrimalPotential(target, vals, body=g.body, provenance=g.provenance)
 
 
-def _hull_1d(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Lower convex hull of the finite samples, read back on x; +inf outside them."""
+def clamped_hull(x: np.ndarray, values: np.ndarray,
+                 a: float = -np.inf, b: float = np.inf) -> np.ndarray:
+    """sup over q in [a, b] of (q x - f*(q)) on x, f the finite samples, exactly.
+
+    q x - f*(q) is concave and piecewise affine in q with kinks at the
+    slopes of the lower hull, so the sup is attained at a, at b or at a hull
+    slope.  That is the hull between the vertices where its slopes cross a
+    and b, continued by rays of slope a to the left and b to the right.
+    With the default [a, b] it is the lower convex hull, +inf outside the
+    finite samples.
+    """
     finite = np.isfinite(values)
-    xf, vf = x[finite], values[finite]
-    hull = lower_hull_indices(xf, vf)
-    out = np.interp(x, xf[hull], vf[hull])
-    out[(x < xf[0]) | (x > xf[-1])] = np.inf
+    xs, vs = x[finite], values[finite]
+    hull = lower_hull_indices(xs, vs)
+    xs, vs = xs[hull], vs[hull]
+    slopes = np.diff(vs) / np.diff(xs)
+    lo = np.searchsorted(slopes, a, side="left")
+    hi = np.searchsorted(slopes, b, side="right")
+    xs, vs = xs[lo : hi + 1], vs[lo : hi + 1]
+    out = np.interp(x, xs, vs)
+    left, right = x < xs[0], x > xs[-1]
+    out[left] = vs[0] + a * (x[left] - xs[0])
+    out[right] = vs[-1] + b * (x[right] - xs[-1])
     return out
 
 
@@ -213,7 +243,7 @@ def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
     if not isinstance(grid, SpatialGrid):
         raise ConfigurationError("convexify expects a spatial sampled function")
     if grid.ndim == 1:
-        vals = _hull_1d(grid.axes()[0], f.values)
+        vals = clamped_hull(grid.axes()[0], f.values)
         return PrimalPotential(grid, vals, body=body, provenance=f.provenance)
     # 2d: double conjugate over a slope box covering all achieved gradients
     axes = grid.axes()
@@ -231,7 +261,7 @@ def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
 def convexify_moment_values(grid: MomentGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex hull of values sampled on a moment grid (finite part)."""
     if grid.ndim == 1:
-        return _hull_1d(grid.axes()[0], values)
+        return clamped_hull(grid.axes()[0], values)
     axes = grid.axes()
     star = conjugate_nd(values, axes, axes)  # slopes reused as a generous box
     return conjugate_nd(star, axes, axes)

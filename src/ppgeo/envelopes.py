@@ -1,9 +1,11 @@
 """Constrained convex envelopes, rooftops, contact sets, measure identity.
 
 The envelope of an obstacle f over a body is computed through the dual:
-restrict the conjugate f* to the body and transform back.  An iterative
-projection (repeatedly convexify and clip under f) is kept as a cross-check
-oracle behind the ``iterative`` flag.
+restrict the conjugate f* to the body and transform back.  In 1d the
+transform back is exact: the obstacle's lower hull with its slopes clamped
+to the body interval.  In 2d it runs over a refined slope grid.  An
+iterative projection (repeatedly convexify and clip under f) is kept as a
+cross-check oracle behind the ``iterative`` flag.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .bodies import Body
 from .duality import (
     DualPotential,
     PrimalPotential,
+    clamped_hull,
     conjugate_nd,
     convexify,
     second_differences,
@@ -72,6 +75,8 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
         raise ConfigurationError("the obstacle must live on a spatial grid")
     if f.has_infinite:
         raise ConfigurationError("the obstacle must be finite")
+    if f.grid.ndim != grid.ndim:
+        raise ConfigurationError("the obstacle and the moment grid differ in dimension")
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     star = conjugate_nd(f.values, f.grid.axes(), grid.axes())
     star = np.where(grid.mask, star, np.inf)
@@ -92,12 +97,12 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
 
 
 def _fine_slope_axes(body: Body, grid: MomentGrid, refine: int) -> list[np.ndarray]:
-    """Refined slope axes over the body's box, vertex coordinates included.
+    """Refined slope axes over a 2d body's box, vertex coordinates included.
 
     Cell-center slopes alone miss the extreme slopes of the body, which
     shows up as an O(h) tilt on flat regions; since f* can be evaluated at
     arbitrary slopes, the grid is refined and the per-axis vertex
-    coordinates are added exactly.
+    coordinates are added exactly.  1d envelopes need no slope grid.
     """
     verts = body.vertex_array
     lo, hi = body.bounding_box()
@@ -110,11 +115,14 @@ def _fine_slope_axes(body: Body, grid: MomentGrid, refine: int) -> list[np.ndarr
 
 def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid,
                                refine: int = 16) -> np.ndarray:
+    """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes."""
+    if grid.ndim == 1:
+        (a,), (b,) = body.bounding_box()
+        return clamped_hull(f.grid.axes()[0], f.values, a, b)
     axes = _fine_slope_axes(body, grid, refine)
     star = conjugate_nd(f.values, f.grid.axes(), axes)
-    if grid.ndim == 2:
-        inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
-        star = np.where(inside, star, np.inf)
+    inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
+    star = np.where(inside, star, np.inf)
     return conjugate_nd(star, axes, f.grid.axes())
 
 

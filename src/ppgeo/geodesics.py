@@ -162,8 +162,9 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
             dt = ts[j] - ts[i]
             lip = max(lip, float(np.abs(samples[..., j] - samples[..., i]).max()) / dt)
 
-    # most negative second difference over space-time axes and diagonals
-    convexity_slack = -min(float(d.min()) for d in second_differences(samples))
+    # size of the most negative second difference over space-time axes and
+    # diagonals; 0.0 (not -0.0) when none is negative
+    violation = max(0.0, -min(float(d.min()) for d in second_differences(samples)))
 
     dt = ts[1] - ts[0]
     ma_residual = _spacetime_ma_residual(samples, grid, dt)
@@ -172,7 +173,7 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
         "chord_slack": chord_slack,
         "lipschitz_measured": lip,
         "lipschitz_bound": lip_bound,
-        "convexity_violation": convexity_slack,
+        "convexity_violation": violation,
         "spacetime_ma_residual": ma_residual,
         "endpoint_sup_difference": sup_diff,
     }

@@ -381,17 +381,11 @@ COVERAGE = {
 }
 
 
-def run_suites(names: list[str], lab: Lab | None = None, p: float = 2.0,
-               max_workers: int = 1) -> list[TheoremReport]:
+def run_suites(names: list[str], lab: Lab | None = None,
+               p: float = 2.0) -> list[TheoremReport]:
     """Run the selected suites; reports merged in declared order."""
     lab = lab if lab is not None else make_lab()
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(SUITES[n], lab, p) for n in names]
-            return [f.result() for f in futures]
     return [SUITES[n](lab, p) for n in names]

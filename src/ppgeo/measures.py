@@ -115,7 +115,7 @@ def ma_density(u: PrimalPotential) -> DensityField:
     """Discrete Hessian density on the spatial grid; negatives clamped."""
     grid = u.grid
     rho = hessian_density(u.values, grid)
-    clamped = float(-rho[rho < 0].sum() * np.prod(grid.spacing))
+    clamped = float(np.abs(rho[rho < 0]).sum() * np.prod(grid.spacing))
     rho = np.maximum(rho, 0.0)
     return DensityField(grid, rho, clamped_mass=clamped)
 

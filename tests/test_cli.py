@@ -112,9 +112,13 @@ def test_verify_report_file(config, tmp_path, capsys):
         ({}, ["distance", "--p", "inf"]),
         ({}, ["distance", "--route", "oracle", "--p", "0.5"]),
         ({"pair": {"seed_index": -1}}, ["distance"]),
+        ({"moment_cells": "abc"}, ["distance"]),
+        ({"spatial": {"lo": [-4.0], "cells": [512]}}, ["distance"]),
+        ({"obstacles": ["quadratic"]}, ["distance", "--route", "limit"]),
     ],
     ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
-         "negative-seed-index"],
+         "negative-seed-index", "moment-cells-not-integer", "spatial-without-hi",
+         "limit-with-one-obstacle"],
 )
 def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     path = tmp_path / "config.json"
@@ -130,3 +134,22 @@ def test_seed_flag_changes_seeded_pair(config, capsys):
     _, out1 = run(capsys, "distance", "--config", cfg, "--seed", "1")
     _, out2 = run(capsys, "distance", "--config", cfg, "--seed", "2")
     assert json.loads(out1)["value"] != json.loads(out2)["value"]
+
+
+def test_two_dimensional_closed_forms_are_a_config_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "moment_cells": 16,
+        "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [16, 16]},
+    }))
+    rc = main(["distance", "--config", str(path)])
+    assert rc == 2
+    assert "closed forms are 1d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ma", "geodesic"])
+def test_reports_print_no_negative_zero(config, capsys, command):
+    rc, out = run(capsys, command, "--config", config({}))
+    assert rc == 0
+    assert "-0.0" not in out

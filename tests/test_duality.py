@@ -12,6 +12,7 @@ from ppgeo import (
     conjugate_nd,
     convexify,
     default_class_body,
+    dual_from_form,
     moment_grid,
     to_dual,
     to_primal,
@@ -173,3 +174,70 @@ def test_second_differences_match_explicit_stencils(shape):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def _numpy_scalar_chain(x, v):
+    """The monotone chain as it ran on numpy scalars, kept as the reference."""
+    stack = []
+    for i in range(len(x)):
+        while len(stack) >= 2:
+            j, k = stack[-2], stack[-1]
+            if (v[k] - v[j]) * (x[i] - x[k]) <= (v[i] - v[k]) * (x[k] - x[j]):
+                break
+            stack.pop()
+        stack.append(i)
+    return np.asarray(stack, dtype=int)
+
+
+# small integer values give ties and collinear runs; the floats give
+# arbitrary non-convex data
+_HULL_POINTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.1, 0.25, 1 / 3, 1.0]),
+        st.one_of(st.integers(-4, 4).map(float), st.floats(-1e3, 1e3)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HULL_POINTS)
+def test_lower_hull_indices_match_numpy_scalar_chain(points):
+    steps, v = zip(*points)
+    x, v = np.cumsum(steps), np.array(v)
+    assert np.array_equal(lower_hull_indices(x, v), _numpy_scalar_chain(x, v))
+
+
+def test_lower_hull_indices_match_numpy_scalar_chain_on_a_ripple():
+    x = SPATIAL.axes()[0]
+    for v in (0.5 * x**2 + 0.2 * np.cos(3 * x), np.abs(x - 0.5), np.zeros_like(x)):
+        assert np.array_equal(lower_hull_indices(x, v), _numpy_scalar_chain(x, v))
+
+
+def _blocked_eval_primal(u, pts):
+    """The O(N*M) blocked product the 1d path replaced, kept as the reference."""
+    nodes, vals = u.grid.nodes(), u.values.ravel()
+    finite = np.isfinite(vals)
+    nodes, vals = nodes[finite], vals[finite]
+    out = np.empty(pts.shape[0])
+    step = max(1, 2**22 // nodes.shape[0])
+    for s in range(0, pts.shape[0], step):
+        out[s : s + step] = (pts[s : s + step] @ nodes.T - vals[None, :]).max(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("form", ["random", "dual_vee", "dual_log_barrier", "infinite_tail"])
+def test_eval_primal_1d_matches_blocked_products(form):
+    rng = np.random.default_rng(5)
+    if form in ("random", "infinite_tail"):
+        u = random_dual(rng, BODY, GRID)
+    else:
+        u = dual_from_form(form, BODY, GRID)
+    if form == "infinite_tail":
+        vals = u.values.copy()
+        vals[-40:] = np.inf
+        u = DualPotential(BODY, GRID, vals, "singular")
+    # unsorted, and reaching well outside the spatial box [-4, 5]
+    pts = rng.uniform(-12.0, 14.0, size=(777, 1))
+    assert np.abs(u.eval_primal(pts) - _blocked_eval_primal(u, pts)).max() <= 1e-12

@@ -5,6 +5,7 @@ from ppgeo import (
     Body,
     SampledFunction,
     SpatialGrid,
+    conjugate_1d,
     default_class_body,
     dual_from_form,
     envelope,
@@ -15,7 +16,9 @@ from ppgeo import (
     rooftop,
 )
 from ppgeo.corpus import sample_closed_form
+from ppgeo.duality import lower_hull_indices
 from ppgeo.envelopes import envelope_density, estimate_hessian_bound
+from ppgeo.grids import ConfigurationError
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -133,3 +136,37 @@ def test_contact_never_empty():
     rec = envelope(f, KLASS.p_body, GRID, hessian_bound=0.0)
     assert rec.contact_mask.any()
     assert (rec.primal.values <= f.values + 1e-9).all()
+
+
+SMALL_SPATIAL = SpatialGrid((-4.0,), (5.0,), (256,))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "quadratic_bump", "soft_ramp", "support_[0,1]"])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
+    body = minkowski_sum(KLASS.p_body, KLASS.q_body, eps) if eps else KLASS.p_body
+    grid = moment_grid(body, 128)
+    x = SMALL_SPATIAL.axes()[0]
+    f = SampledFunction(SMALL_SPATIAL, sample_closed_form(name, SMALL_SPATIAL), name)
+    primal = envelope(f, body, grid).primal.values
+    (a,), (b,) = body.bounding_box()
+
+    def double_conjugate(q):
+        star = conjugate_1d(x, f.values, q, brute=True)
+        return conjugate_1d(q, star, x, brute=True)
+
+    # q x - f*(q) is concave and piecewise affine in q with kinks at the
+    # hull slopes, so these slopes attain the sup over [a, b]
+    hull = lower_hull_indices(x, f.values)
+    slopes = np.diff(f.values[hull]) / np.diff(x[hull])
+    q = np.unique(np.concatenate([[a, b], slopes[(slopes >= a) & (slopes <= b)]]))
+    assert np.abs(primal - double_conjugate(q)).max() <= 1e-12
+    # the refined slope grid the 1d envelope used to sample can only miss the sup
+    fine = np.linspace(a, b, 16 * grid.cells[0] + 1)
+    assert (primal >= double_conjugate(fine) - 1e-12).all()
+
+
+def test_obstacle_and_grid_must_share_a_dimension():
+    body = default_class_body(2).p_body
+    with pytest.raises(ConfigurationError):
+        envelope(obstacle("quadratic"), body, moment_grid(body, 16))

@@ -69,13 +69,6 @@ def test_epsilon_lemmas_monotone_density(lab):
     assert rep.details["ip_final_gap"] <= 0.02
 
 
-def test_threaded_matches_serial(lab):
-    serial = run_suites(["pythagorean", "geodesic_metric"], lab, 2.0)
-    threaded = run_suites(["pythagorean", "geodesic_metric"], lab, 2.0, max_workers=2)
-    for a, b in zip(serial, threaded):
-        assert a.to_json() == b.to_json()
-
-
 def test_unknown_suite_rejected(lab):
     with pytest.raises(KeyError):
         run_suites(["nope"], lab, 2.0)
