@@ -2,8 +2,8 @@
 
 Experiments are described by a JSON config file: dimension, grid sizes,
 an epsilon schedule, and potentials referenced by catalog id (no expression
-parsing).  All outputs are deterministic for a fixed config and seed, with
-floats printed to 12 significant digits.
+parsing).  All outputs are deterministic for a fixed config and seed; JSON
+reports are strict and print floats to 12 significant digits.
 
 Exit codes: 0 success (all checks passed), 1 verification failure,
 2 configuration error.
@@ -77,7 +77,7 @@ def _sig12(x):
 def _dump(payload: dict) -> str:
     payload = dict(payload)
     payload.setdefault("format_version", FORMAT_VERSION)
-    return json.dumps(_sig12(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_sig12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_config(path: str | None) -> dict:
@@ -199,12 +199,8 @@ class Experiment:
         )
 
     def resolve_obstacles(self):
-        out = []
-        for name in self.cfg["obstacles"]:
-            vals = sample_closed_form(name, self.spatial)
-            out.append(SampledFunction(self.spatial, vals, provenance=name))
-        bounds = tuple(CLOSED_FORMS[n].hessian_bound for n in self.cfg["obstacles"])
-        return out, bounds
+        return [SampledFunction(self.spatial, sample_closed_form(name, self.spatial),
+                                provenance=name) for name in self.cfg["obstacles"]]
 
     def resolve_dual(self):
         return dual_from_form(self.cfg["potential"], self.klass.p_body, self.grid)
@@ -221,10 +217,10 @@ def _write(text: str, out: str | None):
 def cmd_distance(exp: Experiment, args) -> int:
     route = args.route
     if route == "limit":
-        fs, bounds = exp.resolve_obstacles()
+        fs = exp.resolve_obstacles()
         if len(fs) < 2:
             raise ConfigurationError("the limit route needs two obstacles")
-        report = dp_limit(fs[0], fs[1], exp.family, exp.p, hessian_bounds=bounds)
+        report = dp_limit(fs[0], fs[1], exp.family, exp.p)
     elif route == "singular":
         u0, u1 = exp.resolve_pair()
         report = dp_singular(u0, u1, exp.p)
@@ -241,7 +237,7 @@ def cmd_distance(exp: Experiment, args) -> int:
         else:
             raise ConfigurationError(f"unknown route {route!r}")
         report = DistanceReport(p=exp.p, value=value, route=route)
-    text = report.to_csv() if (args.out or "").endswith(".csv") else report.to_json() + "\n"
+    text = report.to_csv() if (args.out or "").endswith(".csv") else _dump(report.to_dict())
     _write(text, args.out)
     return 0
 
@@ -267,9 +263,9 @@ def cmd_geodesic(exp: Experiment, args) -> int:
 
 
 def cmd_envelope(exp: Experiment, args) -> int:
-    fs, bounds = exp.resolve_obstacles()
-    f, bound = fs[0], bounds[0]
-    rec = envelope(f, exp.klass.p_body, exp.grid, hessian_bound=bound)
+    f = exp.resolve_obstacles()[0]
+    rec = envelope(f, exp.klass.p_body, exp.grid,
+                   hessian_bound=CLOSED_FORMS[f.provenance].hessian_bound)
     payload = {
         "obstacle": f.provenance,
         "hessian_bound": rec.hessian_bound,

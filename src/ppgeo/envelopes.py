@@ -1,11 +1,11 @@
 """Constrained convex envelopes, rooftops, contact sets, measure identity.
 
-The envelope of an obstacle f over a body is computed through the dual:
-restrict the conjugate f* to the body and transform back.  In 1d the
-transform back is exact: the obstacle's lower hull with its slopes clamped
-to the body interval.  In 2d it runs over a refined slope grid.  An
-iterative projection (repeatedly convexify and clip under f) is kept as a
-cross-check oracle behind the ``iterative`` flag.
+Envelopes are computed through the dual: ``envelope_dual`` restricts the
+conjugate f* to the body, which is all the distance routes read, and
+``envelope`` transforms back to the primal and its contact set, exactly in
+1d (the obstacle's lower hull, slopes clamped to the body interval) and
+over a slope grid refined ``REFINE`` times in 2d.  An iterative projection
+(convexify and clip under f) is a cross-check oracle behind ``iterative``.
 """
 from __future__ import annotations
 
@@ -33,6 +33,9 @@ from .grids import (
     tensor_nodes,
 )
 from .measures import hessian_density, ma_atomic
+
+# slope-grid refinement of the 2d envelope primal and of envelope densities
+REFINE = 16
 
 
 def estimate_hessian_bound(f: SampledFunction) -> float:
@@ -71,16 +74,8 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
 
     Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)).
     """
-    if not isinstance(f.grid, SpatialGrid):
-        raise ConfigurationError("the obstacle must live on a spatial grid")
-    if f.has_infinite:
-        raise ConfigurationError("the obstacle must be finite")
-    if f.grid.ndim != grid.ndim:
-        raise ConfigurationError("the obstacle and the moment grid differ in dimension")
+    dual = envelope_dual(f, body, grid)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
-    star = conjugate_nd(f.values, f.grid.axes(), grid.axes())
-    star = np.where(grid.mask, star, np.inf)
-    dual = DualPotential(body, grid, star, provenance=f.provenance)
     primal_vals = _primal_with_vertex_slopes(f, body, grid)
     primal = PrimalPotential(f.grid, primal_vals, body=body, provenance=f.provenance)
     if iterative:
@@ -96,7 +91,19 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     return EnvelopeRecord(f, body, primal, dual, contact, c_f, tol)
 
 
-def _fine_slope_axes(body: Body, grid: MomentGrid, refine: int) -> list[np.ndarray]:
+def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPotential:
+    """The envelope's dual: f* on the body's moment cells, +inf elsewhere."""
+    if not isinstance(f.grid, SpatialGrid):
+        raise ConfigurationError("the obstacle must live on a spatial grid")
+    if f.has_infinite:
+        raise ConfigurationError("the obstacle must be finite")
+    if f.grid.ndim != grid.ndim:
+        raise ConfigurationError("the obstacle and the moment grid differ in dimension")
+    star = conjugate_nd(f.values, f.grid.axes(), grid.axes())
+    return DualPotential(body, grid, np.where(grid.mask, star, np.inf), provenance=f.provenance)
+
+
+def _fine_slope_axes(body: Body, grid: MomentGrid) -> list[np.ndarray]:
     """Refined slope axes over a 2d body's box, vertex coordinates included.
 
     Cell-center slopes alone miss the extreme slopes of the body, which
@@ -108,18 +115,17 @@ def _fine_slope_axes(body: Body, grid: MomentGrid, refine: int) -> list[np.ndarr
     lo, hi = body.bounding_box()
     axes = []
     for i in range(grid.ndim):
-        fine = np.linspace(lo[i], hi[i], refine * grid.cells[i] + 1)
+        fine = np.linspace(lo[i], hi[i], REFINE * grid.cells[i] + 1)
         axes.append(np.sort(np.unique(np.concatenate([fine, verts[:, i]]))))
     return axes
 
 
-def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid,
-                               refine: int = 16) -> np.ndarray:
+def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid) -> np.ndarray:
     """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes."""
     if grid.ndim == 1:
         (a,), (b,) = body.bounding_box()
         return clamped_hull(f.grid.axes()[0], f.values, a, b)
-    axes = _fine_slope_axes(body, grid, refine)
+    axes = _fine_slope_axes(body, grid)
     star = conjugate_nd(f.values, f.grid.axes(), axes)
     inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
     star = np.where(inside, star, np.inf)
@@ -161,7 +167,7 @@ def multi_rooftop(potentials: list[DualPotential]) -> DualPotential:
     return out
 
 
-def envelope_density(rec: EnvelopeRecord, refine: int = 16) -> np.ndarray:
+def envelope_density(rec: EnvelopeRecord) -> np.ndarray:
     """Density of the envelope's measure on the obstacle's spatial grid.
 
     Pushes the body's Lebesgue measure forward under the gradient of a
@@ -170,12 +176,9 @@ def envelope_density(rec: EnvelopeRecord, refine: int = 16) -> np.ndarray:
     spike noise that second differences of a slope-quantized reconstruction
     would produce.
     """
-    f = rec.obstacle
-    fine = moment_grid(rec.body, tuple(refine * c for c in rec.dual.grid.cells))
-    star = conjugate_nd(f.values, f.grid.axes(), fine.axes())
-    star = np.where(fine.mask, star, np.inf)
-    atoms = ma_atomic(DualPotential(rec.body, fine, star, provenance=f.provenance))
-    return _deposit(atoms.locations, atoms.masses, f.grid)
+    fine = moment_grid(rec.body, tuple(REFINE * c for c in rec.dual.grid.cells))
+    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.body, fine))
+    return _deposit(atoms.locations, atoms.masses, rec.obstacle.grid)
 
 
 def _deposit(points: np.ndarray, masses: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -196,13 +199,13 @@ def _deposit(points: np.ndarray, masses: np.ndarray, grid: SpatialGrid) -> np.nd
     return dens / float(np.prod(grid.spacing))
 
 
-def measure_identity_residual(rec: EnvelopeRecord, refine: int = 16) -> float:
+def measure_identity_residual(rec: EnvelopeRecord) -> float:
     """L1 defect of: envelope density = (contact indicator) * obstacle density.
 
     Small residual certifies that the envelope's measure lives on the
     contact set and agrees with the obstacle's measure there.
     """
-    rho_env = envelope_density(rec, refine)
+    rho_env = envelope_density(rec)
     # the obstacle need not be convex; compute its density field directly
     rho_f = np.maximum(hessian_density(rec.obstacle.values, rec.obstacle.grid), 0.0)
     cell = float(np.prod(rec.primal.grid.spacing))

@@ -15,7 +15,7 @@ import numpy as np
 from .bodies import ClassBody, EpsilonFamily, default_class_body, epsilon_family
 from .corpus import dual_from_form, random_dual_pairs
 from .duality import DualPotential, convexify_moment_values, to_primal
-from .envelopes import envelope, multi_rooftop, rooftop
+from .envelopes import envelope, envelope_dual, multi_rooftop, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
 from .measures import i_p, ma_density
@@ -292,11 +292,11 @@ def check_epsilon_lemmas(lab: Lab, p: float,
 
     # limiting-class quantities
     e0 = envelope(fs[0], lab.klass.p_body, lab.grid, hessian_bound=bounds[0])
-    e1 = envelope(fs[1], lab.klass.p_body, lab.grid, hessian_bound=bounds[1])
-    ip_limit = i_p(e0.dual, e1.dual, p)
+    u1 = envelope_dual(fs[1], lab.klass.p_body, lab.grid)
+    ip_limit = i_p(e0.dual, u1, p)
     rho_limit = ma_density(e0.primal).density
     vel_limit = np.abs(
-        geodesic(e0.dual, e1.dual).primal_at(velocity_t, lab.spatial)
+        geodesic(e0.dual, u1).primal_at(velocity_t, lab.spatial)
         - e0.primal.values
     ) / velocity_t
     mask_limit = e0.contact_mask
@@ -307,8 +307,8 @@ def check_epsilon_lemmas(lab: Lab, p: float,
     h = max(lab.spatial.spacing)
     for eps, body, grid in zip(lab.family.schedule, lab.family.bodies, lab.family.grids):
         a0 = envelope(fs[0], body, grid, hessian_bound=bounds[0])
-        a1 = envelope(fs[1], body, grid, hessian_bound=bounds[1])
-        ip_table.append(i_p(a0.dual, a1.dual, p))
+        v1 = envelope_dual(fs[1], body, grid)
+        ip_table.append(i_p(a0.dual, v1, p))
         rho = ma_density(a0.primal).density
         if rho_prev is not None:
             # contact sets (and densities) shrink along the decreasing schedule
@@ -317,7 +317,7 @@ def check_epsilon_lemmas(lab: Lab, p: float,
         rho_prev = rho
         sup_bounds.append(float(rho.max()))
         vel = np.abs(
-            geodesic(a0.dual, a1.dual).primal_at(velocity_t, lab.spatial)
+            geodesic(a0.dual, v1).primal_at(velocity_t, lab.spatial)
             - a0.primal.values
         ) / velocity_t
         vel_l1.append(

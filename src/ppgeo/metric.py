@@ -1,6 +1,7 @@
 """Distance computations: the perturbation-family limit, the endpoint
 formula, an independent dual oracle, the energy route for p=1, and the
-extension to singular (finite-energy) potentials by truncation.
+extension to singular (finite-energy) potentials by truncation.  The
+routes from obstacles read only their envelope duals (``envelope_dual``).
 
 Every distance integral is evaluated on dual cells (the velocity is the
 dual difference per cell), never by sampling velocities at spatial atoms:
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +27,7 @@ from .duality import (
     convexify_moment_values,
     to_dual,
 )
-from .envelopes import envelope, rooftop
+from .envelopes import envelope_dual, rooftop
 from .grids import (
     ConfigurationError,
     MomentGrid,
@@ -53,8 +53,9 @@ class DistanceReport:
     converged: bool = True
     cross_route: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload; ``ppgeo distance`` prints it to 12 digits."""
+        return {
             "format_version": FORMAT_VERSION,
             "route": self.route,
             "p": self.p,
@@ -67,7 +68,6 @@ class DistanceReport:
             "converged": self.converged,
             "cross_route": self.cross_route,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -126,23 +126,19 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
 
 
 def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, body: Body,
-              grid: MomentGrid, p: float,
-              hessian_bounds: tuple = (None, None)) -> float:
-    """Distance within a fixed body: envelopes first, then the dual cells."""
-    e0 = envelope(f0, body, grid, hessian_bound=hessian_bounds[0])
-    e1 = envelope(f1, body, grid, hessian_bound=hessian_bounds[1])
-    return dp_endpoint(e0.dual, e1.dual, p)
+                  grid: MomentGrid, p: float) -> float:
+    """Distance within a fixed body: envelope duals first, then the dual cells."""
+    return dp_endpoint(envelope_dual(f0, body, grid), envelope_dual(f1, body, grid), p)
 
 
 def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
-             p: float, hessian_bounds: tuple = (None, None),
-             base_grid_cells=None) -> DistanceReport:
+             p: float) -> DistanceReport:
     """The limit distance: table of d_{p,eps}, affine extrapolation to 0."""
     table = []
     for eps, body, grid, vol in zip(
         family.schedule, family.bodies, family.grids, family.volumes
     ):
-        d = dp_fixed_body(f0, f1, body, grid, p, hessian_bounds)
+        d = dp_fixed_body(f0, f1, body, grid, p)
         table.append((eps, vol, d))
     eps_arr = np.array([row[0] for row in table])
     d_arr = np.array([row[2] for row in table])
@@ -168,12 +164,11 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         converged=converged,
     )
     # cross-route deviation against the limiting-class endpoint formula
-    cells = base_grid_cells if base_grid_cells is not None else family.cells
-    base_grid = moment_grid(family.base.p_body, cells)
-    e0 = envelope(f0, family.base.p_body, base_grid, hessian_bound=hessian_bounds[0])
-    e1 = envelope(f1, family.base.p_body, base_grid, hessian_bound=hessian_bounds[1])
-    d_end = dp_endpoint(e0.dual, e1.dual, p)
-    d_oracle = dp_dual_oracle(e0.dual, e1.dual, p)
+    base_grid = moment_grid(family.base.p_body, family.cells)
+    u0 = envelope_dual(f0, family.base.p_body, base_grid)
+    u1 = envelope_dual(f1, family.base.p_body, base_grid)
+    d_end = dp_endpoint(u0, u1, p)
+    d_oracle = dp_dual_oracle(u0, u1, p)
     report.cross_route = {
         "endpoint": d_end,
         "dual_oracle": d_oracle,

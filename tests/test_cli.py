@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgeo.cli import main
+from ppgeo.corpus import CLOSED_FORMS, PAIR_CATALOG
 
 SMALL = {
     "moment_cells": 256,
@@ -44,6 +51,26 @@ def test_distance_csv_output(config, tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "route,p,epsilon,V_eps,d_p_eps,extrapolated,residual"
     assert len(lines) == 8
+
+
+def _floats(x):
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _floats(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize("route", ["endpoint", "limit", "singular"])
+def test_distance_json_has_12_significant_digits(config, capsys, route):
+    rc, out = run(capsys, "distance", "--config", config({}), "--route", route)
+    assert rc == 0
+    values = list(_floats(json.loads(out)))
+    assert values
+    assert all(float(f"{x:.12g}") == x for x in values)
 
 
 def test_geodesic_command(config, capsys):
@@ -153,3 +180,57 @@ def test_reports_print_no_negative_zero(config, capsys, command):
     rc, out = run(capsys, command, "--config", config({}))
     assert rc == 0
     assert "-0.0" not in out
+
+
+def _interval(lo, width):
+    return [[lo], [lo + width]]
+
+
+VALID = {
+    "dimension": st.sampled_from([1, 2]),
+    "moment_cells": st.integers(8, 48),
+    "spatial": st.builds(lambda lo, width, cells: {"lo": [lo], "hi": [lo + width], "cells": [cells]},
+                         st.floats(-8.0, 0.0), st.floats(0.5, 12.0), st.integers(8, 96)),
+    "epsilon_schedule": st.none() | st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4,
+                                             unique=True).map(lambda e: sorted(e, reverse=True)),
+    "pair": st.sampled_from(sorted(PAIR_CATALOG))
+    | st.lists(st.sampled_from(sorted(CLOSED_FORMS)), min_size=2, max_size=2)
+    | st.builds(lambda k: {"seed_index": k}, st.integers(0, 3)),
+    "obstacles": st.lists(st.sampled_from(sorted(CLOSED_FORMS)), min_size=1, max_size=3),
+    "potential": st.sampled_from(sorted(CLOSED_FORMS)),
+    "p": st.floats(1.0, 4.0),
+    "seed": st.integers(0, 50),
+    "t_samples": st.lists(st.floats(0.0, 1.0), max_size=3),
+    "suite_pairs": st.integers(1, 3),
+    "p_body": st.builds(_interval, st.floats(-2.0, 1.0), st.floats(0.25, 2.0)),
+    "q_body": st.builds(_interval, st.floats(-2.0, 0.0), st.floats(0.25, 2.0)),
+    "unknown_key": st.just(1),
+}
+SCALARS = st.none() | st.booleans() | st.integers(-3, 48) | st.floats() | st.text(max_size=4)
+INVALID = (SCALARS | st.lists(SCALARS, max_size=3)
+           | st.dictionaries(st.sampled_from(["lo", "hi", "cells", "seed_index"]), SCALARS,
+                             max_size=3))
+
+
+@st.composite
+def configs(draw):
+    """SMALL with one or two keys replaced; p_body brings a valid q_body along."""
+    keys = draw(st.lists(st.sampled_from(sorted(VALID)), min_size=1, max_size=2, unique=True))
+    cfg = {**SMALL, **{k: draw(VALID[k] if draw(st.booleans()) else INVALID) for k in keys}}
+    if "p_body" in keys and "q_body" not in keys:
+        cfg["q_body"] = draw(VALID["q_body"])
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=configs(), argv=st.sampled_from([
+    ["corpus"], ["distance"], ["distance", "--route", "limit"], ["envelope"],
+]))
+def test_fuzzed_configs_exit_with_a_documented_code(cfg, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv + ["--config", path])
+    assert rc in (0, 1, 2)

@@ -17,7 +17,7 @@ from ppgeo import (
 )
 from ppgeo.corpus import sample_closed_form
 from ppgeo.duality import lower_hull_indices
-from ppgeo.envelopes import envelope_density, estimate_hessian_bound
+from ppgeo.envelopes import envelope_density, envelope_dual, estimate_hessian_bound
 from ppgeo.grids import ConfigurationError
 
 KLASS = default_class_body(1)
@@ -166,7 +166,8 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
     assert (primal >= double_conjugate(fine) - 1e-12).all()
 
 
-def test_obstacle_and_grid_must_share_a_dimension():
+@pytest.mark.parametrize("build", [envelope, envelope_dual], ids=["envelope", "envelope_dual"])
+def test_obstacle_and_grid_must_share_a_dimension(build):
     body = default_class_body(2).p_body
     with pytest.raises(ConfigurationError):
-        envelope(obstacle("quadratic"), body, moment_grid(body, 16))
+        build(obstacle("quadratic"), body, moment_grid(body, 16))

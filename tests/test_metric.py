@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ppgeo.envelopes
 import ppgeo.metric
 from ppgeo import (
     Body,
@@ -89,7 +90,7 @@ def test_d1_energy_route():
 def test_limit_route_matches_endpoint():
     f = SampledFunction(SPATIAL, sample_closed_form("quadratic", SPATIAL), "quadratic")
     g = SampledFunction(SPATIAL, sample_closed_form("soft_ramp", SPATIAL), "soft_ramp")
-    rep = dp_limit(f, g, FAMILY, 2.0, hessian_bounds=(1.0, 1.0))
+    rep = dp_limit(f, g, FAMILY, 2.0)
     assert rep.route == "epsilon_limit"
     assert len(rep.table) == 7
     dev = rep.cross_route["deviation_endpoint"]
@@ -168,8 +169,8 @@ def test_sup_bound_from_distance():
 def test_report_serialization():
     f = SampledFunction(SPATIAL, sample_closed_form("quadratic", SPATIAL), "quadratic")
     g = SampledFunction(SPATIAL, sample_closed_form("soft_ramp", SPATIAL), "soft_ramp")
-    rep = dp_limit(f, g, FAMILY, 2.0, hessian_bounds=(1.0, 1.0))
-    payload = json.loads(rep.to_json())
+    rep = dp_limit(f, g, FAMILY, 2.0)
+    payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert payload["format_version"] == 1
     assert len(payload["table"]) == 7
     csv_text = rep.to_csv()
@@ -192,20 +193,65 @@ def test_endpoint_matches_oracle_on_a_triangle():
         assert abs(d - dp_dual_oracle(e0.dual, e1.dual, p)) <= 1e-9 * d
 
 
-def test_limit_builds_each_envelope_once(monkeypatch):
-    calls = []
-    real = ppgeo.metric.envelope
+def test_limit_builds_envelope_duals_only(monkeypatch):
+    calls = {"envelope_dual": 0, "envelope": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(ppgeo.envelopes, name)
 
-    monkeypatch.setattr(ppgeo.metric, "envelope", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ppgeo.metric, name, counting(name), raising=False)
+        monkeypatch.setattr(ppgeo.envelopes, name, counting(name))
     sp = SpatialGrid((-4.0,), (5.0,), (256,))
     family = epsilon_family(KLASS, 128)
     f = SampledFunction(sp, sample_closed_form("quadratic", sp), "quadratic")
     g = SampledFunction(sp, sample_closed_form("soft_ramp", sp), "soft_ramp")
-    dp_limit(f, g, family, 2.0, hessian_bounds=(1.0, 1.0))
+    dp_limit(f, g, family, 2.0)
     # two per perturbed body, two for the base body
     assert len(family.bodies) == 7
-    assert len(calls) == 16
+    assert calls == {"envelope_dual": 16, "envelope": 0}
+
+
+def _assert_limit_matches_full_envelopes(f0, f1, family, p):
+    """dp_limit against its table and cross routes built from full envelope records."""
+    rep = dp_limit(f0, f1, family, p)
+    table = []
+    for eps, body, grid, vol in zip(
+        family.schedule, family.bodies, family.grids, family.volumes
+    ):
+        e0, e1 = envelope(f0, body, grid), envelope(f1, body, grid)
+        table.append((eps, vol, dp_endpoint(e0.dual, e1.dual, p)))
+    assert rep.table == table
+    base_grid = moment_grid(family.base.p_body, family.cells)
+    e0 = envelope(f0, family.base.p_body, base_grid)
+    e1 = envelope(f1, family.base.p_body, base_grid)
+    d_end, d_oracle = dp_endpoint(e0.dual, e1.dual, p), dp_dual_oracle(e0.dual, e1.dual, p)
+    assert rep.cross_route == {
+        "endpoint": d_end,
+        "dual_oracle": d_oracle,
+        "deviation_endpoint": abs(rep.value - d_end),
+        "deviation_oracle": abs(rep.value - d_oracle),
+    }
+
+
+@pytest.mark.parametrize("seed", [20240, 861317])
+def test_limit_matches_full_envelopes_1d(seed):
+    (u, v), = random_dual_pairs(seed, 1, KLASS.p_body, GRID)
+    fu = SampledFunction(SPATIAL, to_primal(u, SPATIAL).values, "u")
+    fv = SampledFunction(SPATIAL, to_primal(v, SPATIAL).values, "v")
+    _assert_limit_matches_full_envelopes(fu, fv, FAMILY, 2.0)
+
+
+def test_limit_matches_full_envelopes_2d():
+    klass = default_class_body(2)
+    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
+    x, y = np.meshgrid(*sp.axes(), indexing="ij")
+    f0 = SampledFunction(sp, 0.5 * (x**2 + y**2), "round")
+    f1 = SampledFunction(sp, 0.5 * ((x - 0.3) ** 2 + 2 * y**2), "shifted")
+    _assert_limit_matches_full_envelopes(f0, f1, epsilon_family(klass, 16), 2.0)
