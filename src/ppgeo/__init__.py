@@ -46,7 +46,6 @@ from .grids import (
     ConfigurationError,
     MomentGrid,
     SampledFunction,
-    SingularIntegrandError,
     SpatialGrid,
     moment_grid,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "ConfigurationError",
     "MomentGrid",
     "SampledFunction",
-    "SingularIntegrandError",
     "SpatialGrid",
     "moment_grid",
     "SUITES",

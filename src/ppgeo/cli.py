@@ -40,6 +40,7 @@ from .metric import (
     dp_endpoint,
     dp_limit,
     dp_singular,
+    sig12,
 )
 
 DEFAULT_CONFIG = {
@@ -57,27 +58,10 @@ DEFAULT_CONFIG = {
 }
 
 
-def _sig12(x):
-    """Round floats (recursively) to 12 significant digits for stable output."""
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
-    if isinstance(x, dict):
-        return {k: _sig12(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_sig12(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(f"{float(x):.12g}")
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return _sig12(x.tolist())
-    return x
-
-
 def _dump(payload: dict) -> str:
     payload = dict(payload)
     payload.setdefault("format_version", FORMAT_VERSION)
-    return json.dumps(_sig12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(sig12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_config(path: str | None) -> dict:
@@ -322,7 +306,7 @@ def cmd_verify(exp: Experiment, args) -> int:
             "format_version": FORMAT_VERSION,
             "seed": exp.seed,
             "p": exp.p,
-            "suites": [json.loads(r.to_json()) for r in reports],
+            "suites": [r.to_dict() for r in reports],
         }
         _write(_dump(combined), args.out)
     return 0 if all(r.verdict == "pass" for r in reports) else 1

@@ -5,8 +5,11 @@ lower convex hull, so each 1d pass computes the hull with a monotone chain
 and then resolves every query slope with a single sorted lookup.  A 1d
 double transform over a slope interval is read off the same hull
 (``clamped_hull``).  The 2d transform factorizes into two 1d passes along
-the axes.  A brute-force O(N*M) evaluation is kept as a reference oracle
-behind the ``brute`` flag.
+the axes, and ``DualPotential.eval_primal`` is separable in every dimension:
+one 1d conjugate per column of the dual along the first axis.  One
+convexification (``convexify_moment_values``) serves spatial and moment
+grids.  The O(N*M) maximum over every node is the independent oracle
+``conjugate_oracle``.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
+from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid, tensor_nodes
 
 CONVEXITY_RTOL = 1e-10
 
@@ -41,15 +44,16 @@ def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(stack, dtype=int)
 
 
-def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray,
-                 brute: bool = False) -> np.ndarray:
-    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
+def _finite_samples(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(v)
-    x, v = x[finite], v[finite]
-    if x.size == 0:
+    if not finite.any():
         raise ConfigurationError("conjugate of a function with no finite values")
-    if brute:
-        return np.max(np.outer(q, x) - v[None, :], axis=1)
+    return x[finite], v[finite]
+
+
+def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
+    x, v = _finite_samples(x, v)
     hull = lower_hull_indices(x, v)
     xs, vs = x[hull], v[hull]
     slopes = (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
@@ -57,26 +61,34 @@ def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray,
     return q * xs[k] - vs[k]
 
 
+def conjugate_oracle(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Cross-check oracle for ``conjugate_1d``: the O(N*M) maximum, no hull."""
+    x, v = _finite_samples(x, v)
+    return np.max(np.outer(q, x) - v[None, :], axis=1)
+
+
 def _conjugate_along_axis(values: np.ndarray, nodes: np.ndarray,
-                          queries: np.ndarray, axis: int, brute: bool) -> np.ndarray:
-    """1d conjugate of ``values`` along ``axis`` sampled at ``queries``."""
-    moved = np.moveaxis(np.atleast_2d(values), axis, -1)
-    out = np.empty(moved.shape[:-1] + (len(queries),))
+                          queries: np.ndarray, axis: int) -> np.ndarray:
+    """1d conjugate of ``values`` along ``axis`` sampled at ``queries``.
+
+    A line with no finite value conjugates to -inf (a max over no nodes).
+    """
+    moved = np.moveaxis(values, axis, -1)
+    out = np.full(moved.shape[:-1] + (len(queries),), -np.inf)
     for idx in np.ndindex(moved.shape[:-1]):
-        out[idx] = conjugate_1d(nodes, moved[idx], queries, brute=brute)
-    res = np.moveaxis(out, -1, axis)
-    return res if values.ndim > 1 else res[0]
+        if np.isfinite(moved[idx]).any():
+            out[idx] = conjugate_1d(nodes, moved[idx], queries)
+    return np.moveaxis(out, -1, axis)
 
 
 def conjugate_nd(values: np.ndarray, node_axes: list[np.ndarray],
-                 query_axes: list[np.ndarray], brute: bool = False) -> np.ndarray:
+                 query_axes: list[np.ndarray]) -> np.ndarray:
     """Separable discrete conjugate: g*(q) = max_x (<q,x> - g(x))."""
-    n = len(node_axes)
-    if n == 1:
-        return conjugate_1d(node_axes[0], values, query_axes[0], brute=brute)
+    if len(node_axes) == 1:
+        return conjugate_1d(node_axes[0], values, query_axes[0])
     # max_{x2} (q2 x2 + max_{x1} (q1 x1 - g)) computed as two nested conjugates
-    inner = _conjugate_along_axis(values, node_axes[0], query_axes[0], 0, brute)
-    return _conjugate_along_axis(-inner, node_axes[1], query_axes[1], 1, brute)
+    inner = _conjugate_along_axis(values, node_axes[0], query_axes[0], 0)
+    return _conjugate_along_axis(-inner, node_axes[1], query_axes[1], 1)
 
 
 _SHIFT = {1: slice(2, None), 0: slice(None), -1: slice(None, -2)}
@@ -148,22 +160,24 @@ class DualPotential:
     def eval_primal(self, points: np.ndarray) -> np.ndarray:
         """u(x) = max over finite moment nodes of (<p,x> - u*(p)), points shaped (M, ndim).
 
-        In 1d this is a conjugate at the points through the hull of the dual.
+        Separable: the dual splits into columns along the first axis, one per
+        value p' of the remaining coordinates; each column's 1d conjugate at
+        the points' first coordinate, plus <p', x'>, is the column's max, and
+        u is the max over the columns.  In 1d there is one column.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.ndim:
             raise ConfigurationError(f"points must have {self.grid.ndim} columns")
-        if self.grid.ndim == 1:
-            return conjugate_1d(self.grid.axes()[0], self.values, pts[:, 0])
-        nodes = self.grid.nodes()
-        vals = self.values.ravel()
-        finite = np.isfinite(vals)
-        nodes, vals = nodes[finite], vals[finite]
-        out = np.empty(pts.shape[0])
-        step = max(1, 2**22 // max(1, nodes.shape[0]))
-        for s in range(0, pts.shape[0], step):
-            block = pts[s : s + step] @ nodes.T - vals[None, :]
-            out[s : s + step] = block.max(axis=1)
+        first, *rest = self.grid.axes()
+        columns = self.values.reshape(len(first), -1).T
+        others = tensor_nodes(rest) if rest else np.zeros((1, 0))
+        out = np.full(pts.shape[0], -np.inf)
+        for column, p_rest in zip(columns, others):
+            if np.isfinite(column).any():
+                # a sum from the conjugate: in 1d nothing is added, not even 0.0
+                col = sum((p * x for p, x in zip(p_rest, pts[:, 1:].T)),
+                          conjugate_1d(first, column, pts[:, 0]))
+                out = np.maximum(out, col)
         return out
 
     def shift(self, c: float) -> "DualPotential":
@@ -195,19 +209,18 @@ class PrimalPotential:
         return self.convexity_slack() >= -CONVEXITY_RTOL * _value_scale(self.values)
 
 
-def to_dual(u: PrimalPotential, target: MomentGrid, body: Body | None = None,
-            brute: bool = False) -> DualPotential:
+def to_dual(u: PrimalPotential, target: MomentGrid, body: Body | None = None) -> DualPotential:
     """u*(p) = max over spatial nodes of (<p,x> - u(x))."""
     body = body if body is not None else u.body
     if body is None:
         raise ConfigurationError("to_dual needs the class body of u")
-    vals = conjugate_nd(u.values, u.grid.axes(), target.axes(), brute=brute)
+    vals = conjugate_nd(u.values, u.grid.axes(), target.axes())
     return DualPotential(body, target, vals, provenance=u.provenance)
 
 
-def to_primal(g: DualPotential, target: SpatialGrid, brute: bool = False) -> PrimalPotential:
+def to_primal(g: DualPotential, target: SpatialGrid) -> PrimalPotential:
     """u(x) = max over finite moment nodes of (<p,x> - g(p))."""
-    vals = conjugate_nd(g.values, g.grid.axes(), target.axes(), brute=brute)
+    vals = conjugate_nd(g.values, g.grid.axes(), target.axes())
     return PrimalPotential(target, vals, body=g.body, provenance=g.provenance)
 
 
@@ -239,29 +252,28 @@ def clamped_hull(x: np.ndarray, values: np.ndarray,
 
 def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
     """Largest grid-convex function below f (lower convex hull); idempotent."""
-    grid = f.grid
-    if not isinstance(grid, SpatialGrid):
+    if not isinstance(f.grid, SpatialGrid):
         raise ConfigurationError("convexify expects a spatial sampled function")
-    if grid.ndim == 1:
-        vals = clamped_hull(grid.axes()[0], f.values)
-        return PrimalPotential(grid, vals, body=body, provenance=f.provenance)
-    # 2d: double conjugate over a slope box covering all achieved gradients
-    axes = grid.axes()
-    hx, hy = grid.spacing
-    gx = np.abs(np.diff(f.values, axis=0)).max() / hx
-    gy = np.abs(np.diff(f.values, axis=1)).max() / hy
-    qx = np.linspace(-gx - 1.0, gx + 1.0, 2 * grid.cells[0] + 1)
-    qy = np.linspace(-gy - 1.0, gy + 1.0, 2 * grid.cells[1] + 1)
-    star = conjugate_nd(f.values, axes, [qx, qy])
-    vals = conjugate_nd(star, [qx, qy], axes)
-    vals = np.minimum(vals, f.values)  # rounding guard: hull never exceeds f
-    return PrimalPotential(grid, vals, body=body, provenance=f.provenance)
+    vals = convexify_moment_values(f.grid, f.values)
+    return PrimalPotential(f.grid, vals, body=body, provenance=f.provenance)
 
 
-def convexify_moment_values(grid: MomentGrid, values: np.ndarray) -> np.ndarray:
-    """Lower convex hull of values sampled on a moment grid (finite part)."""
-    if grid.ndim == 1:
-        return clamped_hull(grid.axes()[0], values)
+def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """Lower convex hull of the finite values on a moment or a spatial grid.
+
+    Exact in 1d (+inf outside the finite range).  In 2d an approximation: a
+    double conjugate over a slope box that covers every finite discrete gradient, 2 * cells + 1
+    slopes per axis, then a min with the values as a rounding guard.
+    """
     axes = grid.axes()
-    star = conjugate_nd(values, axes, axes)  # slopes reused as a generous box
-    return conjugate_nd(star, axes, axes)
+    if grid.ndim == 1:
+        return clamped_hull(axes[0], values)
+    # nan marks +inf, so differences that touch it drop out without a warning
+    marked = np.where(np.isfinite(values), values, np.nan)
+    slopes = []
+    for i, (h, c) in enumerate(zip(grid.spacing, grid.cells)):
+        d = np.abs(np.diff(marked, axis=i))
+        g = d[~np.isnan(d)].max(initial=0.0) / h
+        slopes.append(np.linspace(-g - 1.0, g + 1.0, 2 * c + 1))
+    star = conjugate_nd(values, axes, slopes)
+    return np.minimum(conjugate_nd(star, slopes, axes), values)

@@ -4,8 +4,8 @@ Envelopes are computed through the dual: ``envelope_dual`` restricts the
 conjugate f* to the body, which is all the distance routes read, and
 ``envelope`` transforms back to the primal and its contact set, exactly in
 1d (the obstacle's lower hull, slopes clamped to the body interval) and
-over a slope grid refined ``REFINE`` times in 2d.  An iterative projection
-(convexify and clip under f) is a cross-check oracle behind ``iterative``.
+over a slope grid refined ``REFINE`` times in 2d.  ``iterative_envelope``
+(repeated convexify and clip under f) is the cross-check oracle.
 """
 from __future__ import annotations
 
@@ -68,8 +68,7 @@ class EnvelopeRecord:
 
 
 def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
-             hessian_bound: float | None = None,
-             iterative: bool = False) -> EnvelopeRecord:
+             hessian_bound: float | None = None) -> EnvelopeRecord:
     """Largest convex function <= f with slopes in the body.
 
     Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)).
@@ -78,8 +77,6 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     primal_vals = _primal_with_vertex_slopes(f, body, grid)
     primal = PrimalPotential(f.grid, primal_vals, body=body, provenance=f.provenance)
-    if iterative:
-        primal = _iterative_envelope(f, primal)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
     contact = primal.values >= f.values - tol
     if not contact.any():
@@ -132,8 +129,8 @@ def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid)
     return conjugate_nd(star, axes, f.grid.axes())
 
 
-def _iterative_envelope(f: SampledFunction, start: PrimalPotential,
-                        max_iters: int = 200, tol: float = 1e-12) -> PrimalPotential:
+def iterative_envelope(f: SampledFunction, start: PrimalPotential,
+                       max_iters: int = 200, tol: float = 1e-12) -> PrimalPotential:
     """Cross-check oracle: repeated convexify-and-clip under the obstacle.
 
     Converges to the unconstrained convex envelope of min(f, start-route

@@ -1,4 +1,4 @@
-"""Uniform grids, sampled functions and weighted quadrature.
+"""Uniform grids and sampled functions.
 
 Everything downstream works on two kinds of grids: a spatial grid (lattice
 nodes of a box, endpoints included) carrying primal potentials, and a moment
@@ -16,10 +16,6 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """Invalid grid, body or experiment configuration."""
-
-
-class SingularIntegrandError(ValueError):
-    """+inf value met at a positive-weight node without a truncation cap."""
 
 
 def check_p(p: float) -> None:
@@ -169,21 +165,3 @@ class SampledFunction:
     def has_infinite(self) -> bool:
         return bool(np.isposinf(self.values).any())
 
-
-def lp_norm_against(values: np.ndarray, grid: MomentGrid, p: float,
-                    truncate: float | None = None) -> float:
-    """(sum_j w_j |v_j|^p)^(1/p) against the moment-grid weights.
-
-    +inf at a positive-weight node raises unless ``truncate`` caps it.
-    """
-    check_p(p)
-    v = np.asarray(values, dtype=float)
-    w = grid.weights
-    pos = w > 0
-    if np.isposinf(v[pos]).any():
-        if truncate is None:
-            raise SingularIntegrandError(
-                "+inf at a positive-weight node; pass a truncation cap"
-            )
-        v = np.minimum(v, truncate)
-    return float(np.sum(w[pos] * np.abs(v[pos]) ** p) ** (1.0 / p))

@@ -7,7 +7,6 @@ quadrature (max(1%, 5h)) and convergence (2% at the finest schedule entry).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .envelopes import envelope, envelope_dual, multi_rooftop, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
 from .measures import i_p, ma_density
-from .metric import dp_dual_oracle, dp_endpoint, dp_limit, truncate_dual
+from .metric import FORMAT_VERSION, dp_dual_oracle, dp_endpoint, dp_limit, truncate_dual
 
 IDENTITY_TOL = 1e-9
 CONVERGENCE_TOL = 0.02
@@ -46,22 +45,19 @@ class TheoremReport:
     def verdict(self) -> str:
         return "pass" if self.worst_slack <= self.tolerance else "fail"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": 1,
-                "suite": self.suite,
-                "description": self.description,
-                "corpus": self.corpus,
-                "slacks": self.slacks,
-                "worst_slack": self.worst_slack,
-                "tolerance": self.tolerance,
-                "verdict": self.verdict,
-                "details": self.details,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """The JSON payload; ``ppgeo verify --out`` prints it to 12 digits."""
+        return {
+            "format_version": FORMAT_VERSION,
+            "suite": self.suite,
+            "description": self.description,
+            "corpus": self.corpus,
+            "slacks": self.slacks,
+            "worst_slack": self.worst_slack,
+            "tolerance": self.tolerance,
+            "verdict": self.verdict,
+            "details": self.details,
+        }
 
     def to_text(self) -> str:
         return (

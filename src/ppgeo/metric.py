@@ -42,6 +42,21 @@ FORMAT_VERSION = 1
 CSV_HEADER = ["route", "p", "epsilon", "V_eps", "d_p_eps", "extrapolated", "residual"]
 
 
+def sig12(x):
+    """Round floats (recursively) to 12 significant digits for stable output."""
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.12g}")
+    if isinstance(x, dict):
+        return {k: sig12(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [sig12(v) for v in x]
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.ndarray):
+        return sig12(x.tolist())
+    return x
+
+
 @dataclass
 class DistanceReport:
     p: float
@@ -70,15 +85,16 @@ class DistanceReport:
         }
 
     def to_csv(self) -> str:
+        """The table as CSV, floats to 12 digits like the JSON payload."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         rows = self.table if self.table else [("", "", self.value)]
         for eps, veps, d in rows:
-            writer.writerow(
-                [self.route, repr(self.p), eps, veps, d, self.value,
+            writer.writerow(sig12(
+                [self.route, self.p, eps, veps, d, self.value,
                  "" if self.fit_residual is None else self.fit_residual]
-            )
+            ))
         return buf.getvalue()
 
 
@@ -197,9 +213,13 @@ def d1_energy(u0: DualPotential, u1: DualPotential,
 
 
 def truncate_dual(u: DualPotential, cap: float) -> DualPotential:
-    """min(u*, cap), convexified: the dual of max(u, V - cap)."""
-    capped = np.minimum(u.values, cap)
-    vals = convexify_moment_values(u.grid, capped)
+    """min(u*, cap), convexified: the dual of max(u, V - cap).
+
+    The cap applies on the body's cells; off them the dual stays +inf.
+    """
+    mask = u.grid.mask
+    capped = np.where(mask, np.minimum(u.values, cap), np.inf)
+    vals = np.where(mask, convexify_moment_values(u.grid, capped), np.inf)
     return DualPotential(u.body, u.grid, vals, provenance=f"{u.provenance}|cap={cap}")
 
 

@@ -51,6 +51,9 @@ def test_distance_csv_output(config, tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "route,p,epsilon,V_eps,d_p_eps,extrapolated,residual"
     assert len(lines) == 8
+    for field in ",".join(lines[1:]).split(","):
+        if field and field != "epsilon_limit":
+            assert float(field) == float(f"{float(field):.12g}"), field
 
 
 def _floats(x):

@@ -16,9 +16,15 @@ from ppgeo import (
     moment_grid,
     to_dual,
     to_primal,
+    truncate_dual,
 )
 from ppgeo.corpus import random_dual
-from ppgeo.duality import convexify_moment_values, lower_hull_indices, second_differences
+from ppgeo.duality import (
+    conjugate_oracle,
+    convexify_moment_values,
+    lower_hull_indices,
+    second_differences,
+)
 
 BODY = default_class_body(1).p_body
 GRID = moment_grid(BODY, 256)
@@ -43,8 +49,7 @@ def test_conjugate_brute_oracle_agrees():
     v = np.abs(x - 0.3) + 0.2 * x**2 + rng.uniform(0, 1)
     q = np.linspace(-1, 2, 97)
     fast = conjugate_1d(x, v, q)
-    brute = conjugate_1d(x, v, q, brute=True)
-    assert np.allclose(fast, brute, atol=1e-12)
+    assert np.allclose(fast, conjugate_oracle(x, v, q), atol=1e-12)
 
 
 def test_lower_hull_of_convex_data_keeps_everything():
@@ -216,7 +221,7 @@ def test_lower_hull_indices_match_numpy_scalar_chain_on_a_ripple():
 
 
 def _blocked_eval_primal(u, pts):
-    """The O(N*M) blocked product the 1d path replaced, kept as the reference."""
+    """The O(N*M) blocked product the separable path replaced, kept as the reference."""
     nodes, vals = u.grid.nodes(), u.values.ravel()
     finite = np.isfinite(vals)
     nodes, vals = nodes[finite], vals[finite]
@@ -227,17 +232,59 @@ def _blocked_eval_primal(u, pts):
     return out
 
 
-@pytest.mark.parametrize("form", ["random", "dual_vee", "dual_log_barrier", "infinite_tail"])
+SQUARE = default_class_body(2).p_body
+TRIANGLE = Body([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+
+def _max_of_quadratic_and_affine(body, rng):
+    """A convex 2d dual on a 64^2 moment grid, +inf off the body's cells."""
+    grid = moment_grid(body, 64)
+    p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
+    a, b, c = rng.normal(size=3)
+    vals = np.maximum(0.5 * (p1**2 + 2 * p2**2), a * p1 + b * p2 + c)
+    return DualPotential(body, grid, np.where(grid.mask, vals, np.inf), "2d")
+
+
+@pytest.mark.parametrize(
+    "form", ["random", "dual_vee", "dual_log_barrier", "infinite_tail", "square", "triangle"]
+)
 def test_eval_primal_1d_matches_blocked_products(form):
     rng = np.random.default_rng(5)
     if form in ("random", "infinite_tail"):
         u = random_dual(rng, BODY, GRID)
+    elif form in ("square", "triangle"):
+        u = _max_of_quadratic_and_affine(SQUARE if form == "square" else TRIANGLE, rng)
     else:
         u = dual_from_form(form, BODY, GRID)
     if form == "infinite_tail":
         vals = u.values.copy()
         vals[-40:] = np.inf
         u = DualPotential(BODY, GRID, vals, "singular")
-    # unsorted, and reaching well outside the spatial box [-4, 5]
-    pts = rng.uniform(-12.0, 14.0, size=(777, 1))
+    # unsorted, and reaching well outside the spatial box [-4, 5] (per axis)
+    pts = rng.uniform(-12.0, 14.0, size=(777, u.grid.ndim))
     assert np.abs(u.eval_primal(pts) - _blocked_eval_primal(u, pts)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("body", [SQUARE, TRIANGLE], ids=["square", "triangle"])
+def test_2d_convexification_keeps_a_convex_dual(body):
+    grid = moment_grid(body, 32)
+    p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
+    vals = np.where(grid.mask, 5 * (p1 - 0.2) ** 2 + 3 * p2, np.inf)
+    u = DualPotential(body, grid, vals, "convex")
+    hull = convexify_moment_values(grid, vals)
+    on = grid.mask
+    assert np.abs(hull[on] - vals[on]).max() <= 1e-12
+    capped = truncate_dual(u, cap=1e9)
+    assert np.abs(capped.values[on] - vals[on]).max() <= 1e-12
+    assert np.isposinf(capped.values[~on]).all()
+
+
+def test_2d_to_primal_skips_grid_lines_outside_the_body():
+    # at 64 cells no cell centre of the top row (p2 near 1) lies in this triangle
+    body = Body([(0.0, 0.0), (1.0, 0.3), (0.2, 1.0)])
+    grid = moment_grid(body, 64)
+    assert not grid.mask[:, -1].any()
+    p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
+    u = DualPotential(body, grid, np.where(grid.mask, p1**2 + p2**2 - p1 * p2, np.inf), "skew")
+    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
+    assert np.abs(to_primal(u, sp).values.ravel() - u.eval_primal(sp.nodes())).max() <= 1e-12

@@ -5,7 +5,6 @@ from ppgeo import (
     Body,
     SampledFunction,
     SpatialGrid,
-    conjugate_1d,
     default_class_body,
     dual_from_form,
     envelope,
@@ -16,8 +15,13 @@ from ppgeo import (
     rooftop,
 )
 from ppgeo.corpus import sample_closed_form
-from ppgeo.duality import lower_hull_indices
-from ppgeo.envelopes import envelope_density, envelope_dual, estimate_hessian_bound
+from ppgeo.duality import conjugate_oracle, lower_hull_indices
+from ppgeo.envelopes import (
+    envelope_density,
+    envelope_dual,
+    estimate_hessian_bound,
+    iterative_envelope,
+)
 from ppgeo.grids import ConfigurationError
 
 KLASS = default_class_body(1)
@@ -76,8 +80,8 @@ def test_envelope_below_obstacle():
 def test_iterative_envelope_cross_check():
     f = obstacle("quadratic")
     direct = envelope(f, KLASS.p_body, GRID, hessian_bound=1.0)
-    iterated = envelope(f, KLASS.p_body, GRID, hessian_bound=1.0, iterative=True)
-    assert np.abs(direct.primal.values - iterated.primal.values).max() <= 1e-6
+    iterated = iterative_envelope(f, direct.primal)
+    assert np.abs(direct.primal.values - iterated.values).max() <= 1e-6
 
 
 def test_rooftop_is_pointwise_dual_max():
@@ -152,8 +156,7 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
     (a,), (b,) = body.bounding_box()
 
     def double_conjugate(q):
-        star = conjugate_1d(x, f.values, q, brute=True)
-        return conjugate_1d(q, star, x, brute=True)
+        return conjugate_oracle(q, conjugate_oracle(x, f.values, q), x)
 
     # q x - f*(q) is concave and piecewise affine in q with kinks at the
     # hull slopes, so these slopes attain the sup over [a, b]

@@ -5,11 +5,9 @@ from ppgeo import (
     Body,
     ConfigurationError,
     SampledFunction,
-    SingularIntegrandError,
     SpatialGrid,
     moment_grid,
 )
-from ppgeo.grids import lp_norm_against
 
 
 def test_spatial_grid_axes_include_endpoints():
@@ -51,21 +49,3 @@ def test_sampled_function_rejects_inf_on_spatial_grid():
     with pytest.raises(ConfigurationError):
         SampledFunction(g, vals)
 
-
-def test_lp_norm_against_singular_requires_cap():
-    body = Body([[0.0], [1.0]])
-    g = moment_grid(body, 32)
-    vals = np.ones(32)
-    vals[-1] = np.inf
-    with pytest.raises(SingularIntegrandError):
-        lp_norm_against(vals, g, 2.0)
-    capped = lp_norm_against(vals, g, 2.0, truncate=5.0)
-    assert np.isfinite(capped)
-
-
-def test_lp_norm_matches_closed_form():
-    body = Body([[0.0], [1.0]])
-    g = moment_grid(body, 4096)
-    p_nodes = g.axes()[0]
-    # ||p||_2 over [0,1] is 1/sqrt(3); midpoint quadrature is second order
-    assert lp_norm_against(p_nodes, g, 2.0) == pytest.approx(3 ** -0.5, rel=1e-6)

@@ -30,7 +30,7 @@ def test_suite_registry_covers_descriptions():
 
 def test_report_serialization_roundtrip(lab):
     rep = check_pythagorean(lab, 2.0)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert payload["verdict"] == "pass"
     assert payload["worst_slack"] == rep.worst_slack
     assert "[PASS]" in rep.to_text()

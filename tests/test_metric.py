@@ -8,6 +8,7 @@ import ppgeo.envelopes
 import ppgeo.metric
 from ppgeo import (
     Body,
+    DualPotential,
     SampledFunction,
     SpatialGrid,
     d1_energy,
@@ -27,6 +28,7 @@ from ppgeo import (
     truncate_dual,
 )
 from ppgeo.corpus import random_dual_pairs, sample_closed_form
+from ppgeo.measures import RequiresTruncationError
 from ppgeo.metric import (
     CSV_HEADER,
     affine_invariance_check,
@@ -117,6 +119,17 @@ def test_singular_limits():
     # increments dominated by the I_p Cauchy bounds
     for inc, bound in zip(r1.cross_route["increments"], r1.cross_route["cauchy_bounds"]):
         assert inc <= bound + 1e-12
+
+
+def test_endpoint_on_a_singular_dual_requires_truncation():
+    u, v = pair_from_catalog("log_barrier_singular", KLASS.p_body, GRID)
+    # the log barrier is +inf at p = 1; put that node on the last cell
+    vals = v.values.copy()
+    vals[-1] = np.inf
+    v = DualPotential(KLASS.p_body, GRID, vals, "singular")
+    with pytest.raises(RequiresTruncationError):
+        dp_endpoint(u, v, 2.0)
+    assert math.isfinite(dp_singular(u, v, 2.0).value)
 
 
 def test_truncation_is_monotone():
