@@ -11,10 +11,10 @@ verification suites next to the solvers themselves.
 from .bodies import (
     Body,
     ClassBody,
+    DEFAULT_SCHEDULE,
     EpsilonFamily,
     default_class_body,
     epsilon_family,
-    geometric_schedule,
     minkowski_sum,
 )
 from .corpus import (
@@ -22,7 +22,6 @@ from .corpus import (
     PAIR_CATALOG,
     dual_from_form,
     pair_from_catalog,
-    primal_from_form,
     random_dual_pairs,
 )
 from .duality import (
@@ -78,16 +77,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Body",
     "ClassBody",
+    "DEFAULT_SCHEDULE",
     "EpsilonFamily",
     "default_class_body",
     "epsilon_family",
-    "geometric_schedule",
     "minkowski_sum",
     "CLOSED_FORMS",
     "PAIR_CATALOG",
     "dual_from_form",
     "pair_from_catalog",
-    "primal_from_form",
     "random_dual_pairs",
     "DualPotential",
     "PrimalPotential",

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConfigurationError, MomentGrid, moment_grid
+from .grids import ConfigurationError, moment_grid
+
+# the default epsilon schedule: 0.2 halved six times
+DEFAULT_SCHEDULE = tuple(0.2 * 0.5**k for k in range(7))
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,6 @@ class Body:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         return Body(tuple(map(tuple, self.vertex_array + c)))
 
-    def scale(self, s: float) -> "Body":
-        return Body(tuple(map(tuple, self.vertex_array * float(s))))
-
 
 def _shoelace(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
@@ -130,10 +130,6 @@ class ClassBody:
     def volume(self) -> float:
         return self.p_body.volume()
 
-    @property
-    def normalization(self) -> float:
-        return 1.0 / self.volume
-
     def perturbed(self, eps: float) -> Body:
         return minkowski_sum(self.p_body, self.q_body, eps)
 
@@ -149,10 +145,6 @@ def default_class_body(ndim: int) -> ClassBody:
     raise ConfigurationError("dimension must be 1 or 2")
 
 
-def geometric_schedule(eps0: float = 0.2, ratio: float = 0.5, count: int = 7) -> tuple:
-    return tuple(eps0 * ratio**k for k in range(count))
-
-
 @dataclass(frozen=True)
 class EpsilonFamily:
     """The family P_eps = P + eps*Q with per-eps moment grids and volumes."""
@@ -166,7 +158,7 @@ class EpsilonFamily:
 
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
-    schedule = geometric_schedule() if schedule is None else tuple(float(e) for e in schedule)
+    schedule = DEFAULT_SCHEDULE if schedule is None else tuple(float(e) for e in schedule)
     if any(e <= 0 for e in schedule) or any(
         a <= b for a, b in zip(schedule, schedule[1:])
     ):

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Body
-from .duality import DualPotential, PrimalPotential
-from .grids import ConfigurationError, MomentGrid, SpatialGrid
+from .duality import DualPotential
+from .grids import ConfigurationError, MomentGrid
 
 INF = float("inf")
+# random_dual: the range of the number of affine pieces, of their slopes,
+# and of the constant offset
+RANDOM_PIECES = (3, 8)
+RANDOM_SLOPES = (-2.0, 3.0)
+RANDOM_OFFSET = 1.0
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,6 @@ def dual_from_form(expr_id: str, body: Body, grid: MomentGrid) -> DualPotential:
     return DualPotential(body, grid, vals, provenance=expr_id)
 
 
-def primal_from_form(expr_id: str, grid: SpatialGrid, body: Body | None = None) -> PrimalPotential:
-    form = CLOSED_FORMS.get(expr_id)
-    if form is None:
-        raise ConfigurationError(f"unknown closed form {expr_id!r}")
-    if form.kind != "primal":
-        raise ConfigurationError(f"{expr_id!r} is not a primal closed form")
-    vals = sample_closed_form(expr_id, grid)
-    return PrimalPotential(grid, vals, body=body, provenance=expr_id)
-
-
 # bundled pair catalog: name -> (dual id 0, dual id 1, note)
 PAIR_CATALOG: dict[str, tuple[str, str, str]] = {
     "ramp_pair": ("dual_zero", "dual_ramp", "duals 0 and p; d_1 = 1/2"),
@@ -114,24 +109,21 @@ PAIR_CATALOG: dict[str, tuple[str, str, str]] = {
 }
 
 
-def random_dual(rng: np.random.Generator, body: Body, grid: MomentGrid,
-                pieces: tuple[int, int] = (3, 8),
-                slope_range: tuple[float, float] = (-2.0, 3.0),
-                offset_scale: float = 1.0) -> DualPotential:
+def random_dual(rng: np.random.Generator, body: Body, grid: MomentGrid) -> DualPotential:
     """Random convex piecewise-affine dual with a few pieces (1d)."""
     if grid.ndim != 1:
         raise ConfigurationError("random duals are generated on 1d moment grids")
     lo, hi = grid.lo[0], grid.hi[0]
-    k = int(rng.integers(pieces[0], pieces[1] + 1))
+    k = int(rng.integers(RANDOM_PIECES[0], RANDOM_PIECES[1] + 1))
     knots = np.sort(rng.uniform(lo, hi, size=k - 1))
-    slopes = np.sort(rng.uniform(*slope_range, size=k))
+    slopes = np.sort(rng.uniform(*RANDOM_SLOPES, size=k))
     p = grid.axes()[0]
     seg = np.searchsorted(knots, p)
     # integrate the step-slope function from lo
     knot_vals = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(np.concatenate([[lo], knots])))])
     edges = np.concatenate([[lo], knots])
     vals = knot_vals[seg] + slopes[seg] * (p - edges[seg])
-    vals += rng.uniform(-offset_scale, offset_scale)
+    vals += rng.uniform(-RANDOM_OFFSET, RANDOM_OFFSET)
     return DualPotential(body, grid, vals, provenance="random_piecewise_affine")
 
 

@@ -205,17 +205,13 @@ class PrimalPotential:
     def convexity_slack(self) -> float:
         return second_difference_slack(self.values)
 
-    def check_convex(self) -> bool:
-        return self.convexity_slack() >= -CONVEXITY_RTOL * _value_scale(self.values)
 
-
-def to_dual(u: PrimalPotential, target: MomentGrid, body: Body | None = None) -> DualPotential:
-    """u*(p) = max over spatial nodes of (<p,x> - u(x))."""
-    body = body if body is not None else u.body
-    if body is None:
+def to_dual(u: PrimalPotential, target: MomentGrid) -> DualPotential:
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the class body of u."""
+    if u.body is None:
         raise ConfigurationError("to_dual needs the class body of u")
     vals = conjugate_nd(u.values, u.grid.axes(), target.axes())
-    return DualPotential(body, target, vals, provenance=u.provenance)
+    return DualPotential(u.body, target, vals, provenance=u.provenance)
 
 
 def to_primal(g: DualPotential, target: SpatialGrid) -> PrimalPotential:
@@ -263,7 +259,8 @@ def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) 
 
     Exact in 1d (+inf outside the finite range).  In 2d an approximation: a
     double conjugate over a slope box that covers every finite discrete gradient, 2 * cells + 1
-    slopes per axis, then a min with the values as a rounding guard.
+    slopes per axis, then a min with the values as a rounding guard; +inf
+    wherever the values are +inf, since the box extends the hull past them.
     """
     axes = grid.axes()
     if grid.ndim == 1:
@@ -276,4 +273,5 @@ def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) 
         g = d[~np.isnan(d)].max(initial=0.0) / h
         slopes.append(np.linspace(-g - 1.0, g + 1.0, 2 * c + 1))
     star = conjugate_nd(values, axes, slopes)
-    return np.minimum(conjugate_nd(star, slopes, axes), values)
+    hull = np.minimum(conjugate_nd(star, slopes, axes), values)
+    return np.where(np.isposinf(values), np.inf, hull)

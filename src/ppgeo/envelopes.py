@@ -10,6 +10,7 @@ over a slope grid refined ``REFINE`` times in 2d.  ``iterative_envelope``
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +37,9 @@ from .measures import hessian_density, ma_atomic
 
 # slope-grid refinement of the 2d envelope primal and of envelope densities
 REFINE = 16
+# iterative_envelope stops after this many rounds or below this change
+ITERATIVE_MAX_ITERS = 200
+ITERATIVE_TOL = 1e-12
 
 
 def estimate_hessian_bound(f: SampledFunction) -> float:
@@ -129,8 +133,7 @@ def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid)
     return conjugate_nd(star, axes, f.grid.axes())
 
 
-def iterative_envelope(f: SampledFunction, start: PrimalPotential,
-                       max_iters: int = 200, tol: float = 1e-12) -> PrimalPotential:
+def iterative_envelope(f: SampledFunction, start: PrimalPotential) -> PrimalPotential:
     """Cross-check oracle: repeated convexify-and-clip under the obstacle.
 
     Converges to the unconstrained convex envelope of min(f, start-route
@@ -138,9 +141,9 @@ def iterative_envelope(f: SampledFunction, start: PrimalPotential,
     """
     vals = np.minimum(start.values, f.values)
     grid = f.grid
-    for _ in range(max_iters):
+    for _ in range(ITERATIVE_MAX_ITERS):
         hulled = convexify(SampledFunction(grid, vals), body=start.body).values
-        if np.max(np.abs(hulled - vals)) < tol:
+        if np.max(np.abs(hulled - vals)) < ITERATIVE_TOL:
             break
         vals = hulled
     return PrimalPotential(grid, vals, body=start.body, provenance=f.provenance)
@@ -180,19 +183,13 @@ def envelope_density(rec: EnvelopeRecord) -> np.ndarray:
 
 def _deposit(points: np.ndarray, masses: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Cloud-in-cell deposit of weighted atoms onto a spatial node grid."""
-    n = grid.ndim
     dens = np.zeros(grid.shape)
-    pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(n)]
+    pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
     i0 = [np.clip(np.floor(q).astype(int), 0, s - 2) for q, s in zip(pos, grid.shape)]
     fr = [np.clip(q - j, 0.0, 1.0) for q, j in zip(pos, i0)]
-    if n == 1:
-        np.add.at(dens, i0[0], masses * (1 - fr[0]))
-        np.add.at(dens, i0[0] + 1, masses * fr[0])
-    else:
-        for dx in (0, 1):
-            for dy in (0, 1):
-                w = (fr[0] if dx else 1 - fr[0]) * (fr[1] if dy else 1 - fr[1])
-                np.add.at(dens, (i0[0] + dx, i0[1] + dy), masses * w)
+    for corner in itertools.product((0, 1), repeat=grid.ndim):
+        w = math.prod(f if c else 1 - f for f, c in zip(fr, corner))
+        np.add.at(dens, tuple(j + c for j, c in zip(i0, corner)), masses * w)
     return dens / float(np.prod(grid.spacing))
 
 

@@ -14,6 +14,14 @@ import numpy as np
 from .duality import DualPotential, conjugate_nd, second_differences
 from .grids import ConfigurationError, SpatialGrid
 
+# the times at which curve_checks samples the primal curve
+T_SAMPLES = np.linspace(0.0, 1.0, 17)
+# velocity_spatial: a dual maximizer set spanning more than this many cells
+# is a tie, and quotients may decrease in t by this much relative to the
+# largest dual difference before convexity counts as violated
+TIE_CELLS = 3
+QUOTIENT_RTOL = 1e-9
+
 
 class ConvexityViolationError(ValueError):
     """Difference quotients failed to be monotone in t."""
@@ -25,12 +33,10 @@ class GeodesicCurve:
 
     u0: DualPotential
     u1: DualPotential
-    t_samples: tuple = tuple(np.linspace(0.0, 1.0, 17))
 
     def __post_init__(self):
         if self.u0.grid != self.u1.grid:
             raise ConfigurationError("geodesic endpoints need a common moment grid")
-        object.__setattr__(self, "t_samples", tuple(float(t) for t in self.t_samples))
 
     @property
     def grid(self):
@@ -56,15 +62,15 @@ class GeodesicCurve:
 
     def subcurve(self, t: float) -> "GeodesicCurve":
         """The geodesic from u0 to u_t (dual-affinity makes this exact)."""
-        return GeodesicCurve(self.u0, self.potential_at(t), self.t_samples)
+        return GeodesicCurve(self.u0, self.potential_at(t))
 
     def reversed(self) -> "GeodesicCurve":
-        return GeodesicCurve(self.u1, self.u0, self.t_samples)
+        return GeodesicCurve(self.u1, self.u0)
 
 
-def geodesic(u0: DualPotential, u1: DualPotential, m: int = 16) -> GeodesicCurve:
+def geodesic(u0: DualPotential, u1: DualPotential) -> GeodesicCurve:
     """Weak geodesic between two finite-dual potentials."""
-    return GeodesicCurve(u0, u1, tuple(np.linspace(0.0, 1.0, m + 1)))
+    return GeodesicCurve(u0, u1)
 
 
 def velocity(curve: GeodesicCurve, end: int = 0) -> np.ndarray:
@@ -81,14 +87,13 @@ def velocity(curve: GeodesicCurve, end: int = 0) -> np.ndarray:
     return -d if end == 0 else d
 
 
-def velocity_spatial(curve: GeodesicCurve, end: int, t_steps, grid: SpatialGrid,
-                     tie_cells: int = 3, tol: float = 1e-9):
+def velocity_spatial(curve: GeodesicCurve, end: int, t_steps, grid: SpatialGrid):
     """Difference quotients of the primal curve at small t, with tie report.
 
     Returns (limit, quotients, tie_mask).  Quotients must be monotone
     nondecreasing as t grows (convexity in t); the returned limit is the
     quotient at the smallest step.  Nodes whose dual maximizer set spans
-    more than ``tie_cells`` grid cells are flagged: the spatial velocity is
+    more than ``TIE_CELLS`` grid cells are flagged: the spatial velocity is
     set-valued there and only the dual-cell velocity is meaningful.
     """
     t_steps = sorted(float(t) for t in t_steps)
@@ -102,16 +107,16 @@ def velocity_spatial(curve: GeodesicCurve, end: int, t_steps, grid: SpatialGrid,
         quotients.append((base.primal_at(t, grid) - p0) / t)
     for q_small, q_big in zip(quotients, quotients[1:]):
         worst = float((q_big - q_small).min())
-        if worst < -tol * scale:
+        if worst < -QUOTIENT_RTOL * scale:
             raise ConvexityViolationError(
                 f"difference quotients decrease in t by {-worst:.3e}"
             )
-    tie_mask = _tie_nodes(base.u0, grid, tie_cells)
+    tie_mask = _tie_nodes(base.u0, grid)
     return quotients[0], quotients, tie_mask
 
 
-def _tie_nodes(u: DualPotential, grid: SpatialGrid, tie_cells: int) -> np.ndarray:
-    """Nodes where the dual argmax set spans more than ``tie_cells`` cells."""
+def _tie_nodes(u: DualPotential, grid: SpatialGrid) -> np.ndarray:
+    """Nodes where the dual argmax set spans more than ``TIE_CELLS`` cells."""
     nodes = u.grid.nodes()
     vals = u.values.ravel()
     finite = np.isfinite(vals)
@@ -130,7 +135,7 @@ def _tie_nodes(u: DualPotential, grid: SpatialGrid, tie_cells: int) -> np.ndarra
             coord = nodes_f[:, axis]
             lo = np.where(near, coord[None, :], np.inf).min(axis=1)
             hi = np.where(near, coord[None, :], -np.inf).max(axis=1)
-            out[s : s + step] |= (hi - lo) > tie_cells * u.grid.spacing[axis]
+            out[s : s + step] |= (hi - lo) > TIE_CELLS * u.grid.spacing[axis]
     return out.reshape(grid.shape)
 
 
@@ -141,7 +146,7 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
     constant sup|u0 - u1|, (c) joint convexity of (x, t) -> u_t(x),
     (d) degeneracy of the space-time Monge-Ampère operator.
     """
-    ts = np.asarray(curve.t_samples)
+    ts = T_SAMPLES
     samples = np.stack([curve.primal_at(t, grid) for t in ts], axis=-1)
     p0, p1 = samples[..., 0], samples[..., -1]
 

@@ -121,10 +121,6 @@ class MomentGrid:
     def nodes(self) -> np.ndarray:
         return tensor_nodes(self.axes())
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
 
 def moment_grid(body, cells) -> MomentGrid:
     """Build the cell-center grid over ``body``'s bounding box."""

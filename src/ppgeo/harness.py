@@ -12,16 +12,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import ClassBody, EpsilonFamily, default_class_body, epsilon_family
-from .corpus import dual_from_form, random_dual_pairs
+from .corpus import CLOSED_FORMS, dual_from_form, random_dual_pairs, sample_closed_form
 from .duality import DualPotential, convexify_moment_values, to_primal
 from .envelopes import envelope, envelope_dual, multi_rooftop, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
 from .measures import i_p, ma_density
-from .metric import FORMAT_VERSION, dp_dual_oracle, dp_endpoint, dp_limit, truncate_dual
+from .metric import FORMAT_VERSION, dp_endpoint, dp_limit, truncate_dual
 
 IDENTITY_TOL = 1e-9
 CONVERGENCE_TOL = 0.02
+# fixed suite sizes: the (t, s) grid of geodesic_metric, the Cauchy indices
+# of completeness, the truncation caps of monotone_continuity, and the two
+# obstacles and the geodesic time step of epsilon_lemmas
+GEODESIC_TS = 5
+COMPLETENESS_J_MAX = 6
+COMPLETENESS_K_MAX = 10
+CONTINUITY_CAPS = (2.0, 4.0, 8.0, 16.0)
+EPSILON_OBSTACLES = ("quadratic", "quadratic_bump")
+VELOCITY_T = 1e-3
 
 
 def quadrature_tol(h: float) -> float:
@@ -165,9 +174,9 @@ def check_max_inequality(lab: Lab, p: float) -> TheoremReport:
     )
 
 
-def check_geodesic_metric(lab: Lab, p: float, n_t: int = 5) -> TheoremReport:
+def check_geodesic_metric(lab: Lab, p: float) -> TheoremReport:
     """d_p(u_t, u_s) = |t - s| d_p(u0, u1) along the geodesic."""
-    ts = np.linspace(0.0, 1.0, n_t)
+    ts = np.linspace(0.0, 1.0, GEODESIC_TS)
     slacks = []
     for u, v in lab.pairs:
         curve = geodesic(u, v)
@@ -179,7 +188,7 @@ def check_geodesic_metric(lab: Lab, p: float, n_t: int = 5) -> TheoremReport:
     return TheoremReport(
         suite="geodesic_metric",
         description="constant-speed property of the dual-affine geodesic",
-        corpus=f"{len(lab.pairs)} pairs x {n_t}x{n_t} (t,s) grid, p={p}",
+        corpus=f"{len(lab.pairs)} pairs x {GEODESIC_TS}x{GEODESIC_TS} (t,s) grid, p={p}",
         slacks=slacks,
         tolerance=1e-6,
     )
@@ -201,9 +210,9 @@ def cauchy_sequence(lab: Lab, kind: str = "monotone", n: int = 8) -> list[DualPo
     ]
 
 
-def check_completeness(lab: Lab, p: float, kind: str = "monotone",
-                       j_max: int = 6, k_max: int = 10) -> TheoremReport:
+def check_completeness(lab: Lab, p: float, kind: str = "monotone") -> TheoremReport:
     """Rooftops along a Cauchy sequence contract: d_p(u_j, v_{j,k}) <= 2^{1-j}."""
+    j_max, k_max = COMPLETENESS_J_MAX, COMPLETENESS_K_MAX
     seq = cauchy_sequence(lab, kind, n=j_max + k_max + 1)
     budget_ok = all(
         dp_endpoint(seq[j], seq[j + 1], p) <= 2.0**-j + 1e-12
@@ -242,9 +251,9 @@ def check_completeness(lab: Lab, p: float, kind: str = "monotone",
     )
 
 
-def check_monotone_continuity(lab: Lab, p: float,
-                              caps=(2.0, 4.0, 8.0, 16.0)) -> TheoremReport:
+def check_monotone_continuity(lab: Lab, p: float) -> TheoremReport:
     """u_j decreasing to u forces d_p(u_j, u) -> 0; I_p^{1/p} decays too."""
+    caps = CONTINUITY_CAPS
     barrier = dual_from_form("dual_log_barrier", lab.klass.p_body, lab.grid)
     gaps = [dp_endpoint(truncate_dual(barrier, m), barrier, p) for m in caps]
     ip_gaps = [
@@ -271,62 +280,43 @@ def check_monotone_continuity(lab: Lab, p: float,
     )
 
 
-def check_epsilon_lemmas(lab: Lab, p: float,
-                         obstacles: tuple[str, str] = ("quadratic", "quadratic_bump"),
-                         velocity_t: float = 1e-3) -> TheoremReport:
+def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     """Convergence of the approximation scheme as the class opens up.
 
     (a) I_p in the perturbed classes tends to the limit value;
     (b) envelope densities are pointwise nondecreasing in eps and bounded;
     (c) contact-masked velocity integrands converge in weighted L1.
     """
-    from .corpus import CLOSED_FORMS, sample_closed_form
-
-    f_vals = [sample_closed_form(o, lab.spatial) for o in obstacles]
+    obstacles = EPSILON_OBSTACLES
     bounds = [CLOSED_FORMS[o].hessian_bound for o in obstacles]
-    fs = [SampledFunction(lab.spatial, v, o) for v, o in zip(f_vals, obstacles)]
+    fs = [SampledFunction(lab.spatial, sample_closed_form(o, lab.spatial), o) for o in obstacles]
 
-    # limiting-class quantities
-    e0 = envelope(fs[0], lab.klass.p_body, lab.grid, hessian_bound=bounds[0])
-    u1 = envelope_dual(fs[1], lab.klass.p_body, lab.grid)
-    ip_limit = i_p(e0.dual, u1, p)
-    rho_limit = ma_density(e0.primal).density
-    vel_limit = np.abs(
-        geodesic(e0.dual, u1).primal_at(velocity_t, lab.spatial)
-        - e0.primal.values
-    ) / velocity_t
-    mask_limit = e0.contact_mask
+    def quantities(body, grid):
+        """I_p, the envelope density and the contact-masked velocity integrand."""
+        env = envelope(fs[0], body, grid, hessian_bound=bounds[0])
+        other = envelope_dual(fs[1], body, grid)
+        rho = ma_density(env.primal).density
+        vel = np.abs(
+            geodesic(env.dual, other).primal_at(VELOCITY_T, lab.spatial)
+            - env.primal.values
+        ) / VELOCITY_T
+        return i_p(env.dual, other, p), rho, env.contact_mask * vel**p * rho
 
+    ip_limit, _, integrand_limit = quantities(lab.klass.p_body, lab.grid)
     cell = float(np.prod(lab.spatial.spacing))
     ip_table, monotone_fracs, sup_bounds, vel_l1 = [], [], [], []
     rho_prev = None
     h = max(lab.spatial.spacing)
-    for eps, body, grid in zip(lab.family.schedule, lab.family.bodies, lab.family.grids):
-        a0 = envelope(fs[0], body, grid, hessian_bound=bounds[0])
-        v1 = envelope_dual(fs[1], body, grid)
-        ip_table.append(i_p(a0.dual, v1, p))
-        rho = ma_density(a0.primal).density
+    for body, grid in zip(lab.family.bodies, lab.family.grids):
+        ip, rho, integrand = quantities(body, grid)
+        ip_table.append(ip)
         if rho_prev is not None:
             # contact sets (and densities) shrink along the decreasing schedule
             ok = rho <= rho_prev + 5.0 * h
             monotone_fracs.append(float(ok.mean()))
         rho_prev = rho
         sup_bounds.append(float(rho.max()))
-        vel = np.abs(
-            geodesic(a0.dual, v1).primal_at(velocity_t, lab.spatial)
-            - a0.primal.values
-        ) / velocity_t
-        vel_l1.append(
-            float(
-                np.sum(
-                    np.abs(
-                        a0.contact_mask * vel**p * rho
-                        - mask_limit * vel_limit**p * rho_limit
-                    )
-                )
-                * cell
-            )
-        )
+        vel_l1.append(float(np.sum(np.abs(integrand - integrand_limit)) * cell))
     ip_gap = abs(ip_table[-1] - ip_limit) / max(abs(ip_limit), 1e-12)
     n = lab.klass.ndim
     density_bound = max(bounds) ** n * 1.01
@@ -358,22 +348,12 @@ def check_epsilon_lemmas(lab: Lab, p: float,
 
 
 SUITES = {
-    "pythagorean": lambda lab, p: check_pythagorean(lab, p, eps_route_pairs=0),
+    "pythagorean": check_pythagorean,
     "max_inequality": check_max_inequality,
     "geodesic_metric": check_geodesic_metric,
     "completeness": check_completeness,
     "monotone_continuity": check_monotone_continuity,
     "epsilon_lemmas": check_epsilon_lemmas,
-}
-
-# statements covered by each suite, for the coverage table in reports
-COVERAGE = {
-    "pythagorean": "squared-distance partition at the rooftop",
-    "max_inequality": "max/rooftop distance inequalities",
-    "geodesic_metric": "constant-speed geodesic identity",
-    "completeness": "Cauchy sequences converge via rooftop limits",
-    "monotone_continuity": "continuity along decreasing approximants",
-    "epsilon_lemmas": "convergence of the class-opening approximation",
 }
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from .duality import DualPotential, PrimalPotential, second_differences, to_primal
 from .grids import ConfigurationError, SpatialGrid, check_p
 
-NEGATIVE_CLAMP_FRACTION = 1e-6
+# ma_mixed_pair: negative mixed mass allowed, as a fraction of the body volume
+MIXED_NEGATIVE_TOL = 5e-3
 
 
 class PolarizationError(ValueError):
@@ -120,8 +121,8 @@ def ma_density(u: PrimalPotential) -> DensityField:
     return DensityField(grid, rho, clamped_mass=clamped)
 
 
-def ma_mixed_pair(u: DualPotential, v: DualPotential, spatial_grid: SpatialGrid,
-                  tol_fraction: float = 5e-3) -> AtomicMeasure:
+def ma_mixed_pair(u: DualPotential, v: DualPotential,
+                  spatial_grid: SpatialGrid) -> AtomicMeasure:
     """Mixed measure of two potentials (n=2) by midpoint polarization.
 
     det((A+B)/2) = det(A)/4 + D(A,B)/2 + det(B)/4 fixes the combination
@@ -141,9 +142,9 @@ def ma_mixed_pair(u: DualPotential, v: DualPotential, spatial_grid: SpatialGrid,
     cell = float(np.prod(spatial_grid.spacing))
     neg = float(-mixed[mixed < 0].sum() * cell)
     vol = u.body.volume()
-    if neg > tol_fraction * vol:
+    if neg > MIXED_NEGATIVE_TOL * vol:
         raise PolarizationError(
-            f"negative mixed mass {neg:.3e} exceeds {tol_fraction:.1e} * vol"
+            f"negative mixed mass {neg:.3e} exceeds {MIXED_NEGATIVE_TOL:.1e} * vol"
         )
     mixed = np.maximum(mixed, 0.0)
     w = mixed.ravel() * cell

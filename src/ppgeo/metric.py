@@ -40,6 +40,10 @@ from .measures import RequiresTruncationError, energy, i_p
 
 FORMAT_VERSION = 1
 CSV_HEADER = ["route", "p", "epsilon", "V_eps", "d_p_eps", "extrapolated", "residual"]
+# the increasing truncation caps of the singular route
+SINGULAR_CAPS = (2.0, 4.0, 8.0, 16.0, 32.0)
+# relative mismatch allowed between a density's mass and the body volume
+SOLVE_MASS_TOL = 0.02
 
 
 def sig12(x):
@@ -217,28 +221,23 @@ def truncate_dual(u: DualPotential, cap: float) -> DualPotential:
 
     The cap applies on the body's cells; off them the dual stays +inf.
     """
-    mask = u.grid.mask
-    capped = np.where(mask, np.minimum(u.values, cap), np.inf)
-    vals = np.where(mask, convexify_moment_values(u.grid, capped), np.inf)
+    capped = np.where(u.grid.mask, np.minimum(u.values, cap), np.inf)
+    vals = convexify_moment_values(u.grid, capped)
     return DualPotential(u.body, u.grid, vals, provenance=f"{u.provenance}|cap={cap}")
 
 
-def dp_singular(u0: DualPotential, u1: DualPotential, p: float,
-                caps=(2.0, 4.0, 8.0, 16.0, 32.0)) -> DistanceReport:
-    """Distance between possibly singular duals via increasing caps.
+def dp_singular(u0: DualPotential, u1: DualPotential, p: float) -> DistanceReport:
+    """Distance between possibly singular duals via the increasing ``SINGULAR_CAPS``.
 
     The cap-M truncations decrease (in primal) to the endpoints; the
     distances between truncations form a Cauchy sequence whose increments
     are controlled by I_p between consecutive truncations.
     """
-    caps = tuple(float(m) for m in caps)
-    if any(b <= a for a, b in zip(caps, caps[1:])):
-        raise ConfigurationError("caps must be strictly increasing")
     table = []
     trunc_prev = None
     increments = []
     ip_bounds = []
-    for cap in caps:
+    for cap in SINGULAR_CAPS:
         t0 = truncate_dual(u0, cap)
         t1 = truncate_dual(u1, cap)
         d = dp_endpoint(t0, t1, p)
@@ -270,8 +269,7 @@ def dp_singular(u0: DualPotential, u1: DualPotential, p: float,
     return report
 
 
-def ma_solve_1d(dv: SampledFunction, body: Body,
-                mass_tol: float = 0.02) -> tuple[DualPotential, PrimalPotential]:
+def ma_solve_1d(dv: SampledFunction, body: Body) -> tuple[DualPotential, PrimalPotential]:
     """Potential with prescribed measure dv (n=1): gradient = shifted CDF.
 
     Returns the dual over the body and the primal normalized so that
@@ -288,7 +286,7 @@ def ma_solve_1d(dv: SampledFunction, body: Body,
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dv.values[1:] + dv.values[:-1]) * h)])
     mass = float(cdf[-1])
     vol = body.volume()
-    if abs(mass - vol) > mass_tol * max(1.0, vol):
+    if abs(mass - vol) > SOLVE_MASS_TOL * max(1.0, vol):
         raise ConfigurationError(
             f"density mass {mass} does not match the body volume {vol}"
         )

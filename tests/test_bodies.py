@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ppgeo import (
+    DEFAULT_SCHEDULE,
     Body,
     ClassBody,
     ConfigurationError,
     default_class_body,
     epsilon_family,
-    geometric_schedule,
     minkowski_sum,
 )
 
@@ -68,10 +68,11 @@ def test_class_body_requires_origin_inside_q():
 
 
 def test_default_schedule_decreasing():
-    sched = geometric_schedule()
+    sched = DEFAULT_SCHEDULE
     assert len(sched) == 7
     assert sched[0] == pytest.approx(0.2)
     assert all(b == pytest.approx(a / 2) for a, b in zip(sched, sched[1:]))
+    assert epsilon_family(default_class_body(1), 64).schedule == sched
 
 
 def test_epsilon_family_volumes(capsys):

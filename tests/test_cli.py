@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppgeo
 from ppgeo.cli import main
 from ppgeo.corpus import CLOSED_FORMS, PAIR_CATALOG
 
@@ -237,3 +240,24 @@ def test_fuzzed_configs_exit_with_a_documented_code(cfg, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv + ["--config", path])
     assert rc in (0, 1, 2)
+
+
+def test_one_dimensional_commands_never_import_scipy_spatial(config):
+    # scipy.spatial costs about a third of a second per process; in 1d only
+    # 2d Minkowski sums need it, so none of these commands may import it
+    script = (
+        "import contextlib, io, sys\n"
+        "from ppgeo.cli import main\n"
+        f"cfg = {config({})!r}\n"
+        "for argv in (['distance', '--route', 'limit'], ['envelope'],\n"
+        "             ['verify', '--suite', 'epsilon_lemmas']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv + ['--config', cfg]) == 0, argv\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(ppgeo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -274,6 +274,7 @@ def test_2d_convexification_keeps_a_convex_dual(body):
     hull = convexify_moment_values(grid, vals)
     on = grid.mask
     assert np.abs(hull[on] - vals[on]).max() <= 1e-12
+    assert np.isposinf(hull[~on]).all()
     capped = truncate_dual(u, cap=1e9)
     assert np.abs(capped.values[on] - vals[on]).max() <= 1e-12
     assert np.isposinf(capped.values[~on]).all()
