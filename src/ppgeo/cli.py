@@ -193,9 +193,12 @@ class Experiment:
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out!r}: {exc}")
 
 
 def cmd_distance(exp: Experiment, args) -> int:

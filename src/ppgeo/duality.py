@@ -1,14 +1,15 @@
 """Discrete Legendre transforms between spatial and moment representations.
 
 The forward transform of a sampled function equals the transform of its
-lower convex hull, so each 1d pass computes the hull with a monotone chain
-and then resolves every query slope with a single sorted lookup.  A 1d
-double transform over a slope interval is read off the same hull
-(``clamped_hull``).  The 2d transform factorizes into two 1d passes along
-the axes, and ``DualPotential.eval_primal`` is separable in every dimension:
+lower convex hull, so each 1d pass reads the hull (``lower_hull``, the one
+reader of the monotone chain) and then resolves every query slope with a
+single sorted lookup.  A 1d double transform over a slope interval is read
+off the same hull (``clamped_hull``).  ``conjugate_nd`` is one 1d pass per
+axis, and ``DualPotential.eval_primal`` is separable in every dimension:
 one 1d conjugate per column of the dual along the first axis.  One
 convexification (``convexify_moment_values``) serves spatial and moment
-grids.  The O(N*M) maximum over every node is the independent oracle
+grids.  ``gradient`` (first differences) sits beside ``second_differences``.
+The O(N*M) maximum over every node is the independent oracle
 ``conjugate_oracle``.
 """
 from __future__ import annotations
@@ -51,12 +52,17 @@ def _finite_samples(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x[finite], v[finite]
 
 
-def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
+def lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, values and edge slopes of the lower hull of the finite samples."""
     x, v = _finite_samples(x, v)
     hull = lower_hull_indices(x, v)
     xs, vs = x[hull], v[hull]
-    slopes = (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
+    return xs, vs, (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
+
+
+def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
+    xs, vs, slopes = lower_hull(x, v)
     k = np.searchsorted(slopes, q, side="left")
     return q * xs[k] - vs[k]
 
@@ -73,22 +79,25 @@ def _conjugate_along_axis(values: np.ndarray, nodes: np.ndarray,
 
     A line with no finite value conjugates to -inf (a max over no nodes).
     """
-    moved = np.moveaxis(values, axis, -1)
+    moved = values.swapaxes(axis, -1)
     out = np.full(moved.shape[:-1] + (len(queries),), -np.inf)
     for idx in np.ndindex(moved.shape[:-1]):
         if np.isfinite(moved[idx]).any():
             out[idx] = conjugate_1d(nodes, moved[idx], queries)
-    return np.moveaxis(out, -1, axis)
+    return out.swapaxes(axis, -1)
 
 
 def conjugate_nd(values: np.ndarray, node_axes: list[np.ndarray],
                  query_axes: list[np.ndarray]) -> np.ndarray:
-    """Separable discrete conjugate: g*(q) = max_x (<q,x> - g(x))."""
-    if len(node_axes) == 1:
-        return conjugate_1d(node_axes[0], values, query_axes[0])
-    # max_{x2} (q2 x2 + max_{x1} (q1 x1 - g)) computed as two nested conjugates
-    inner = _conjugate_along_axis(values, node_axes[0], query_axes[0], 0)
-    return _conjugate_along_axis(-inner, node_axes[1], query_axes[1], 1)
+    """Separable discrete conjugate: g*(q) = max_x (<q,x> - g(x)).
+
+    One 1d pass per axis: max_{x2} (q2 x2 + max_{x1} (q1 x1 - g)) conjugates
+    the negated result of the pass before along the next axis.
+    """
+    out = values
+    for axis, (nodes, queries) in enumerate(zip(node_axes, query_axes)):
+        out = _conjugate_along_axis(-out if axis else out, nodes, queries, axis)
+    return out
 
 
 _SHIFT = {1: slice(2, None), 0: slice(None), -1: slice(None, -2)}
@@ -108,6 +117,28 @@ def second_differences(v: np.ndarray) -> Iterator[np.ndarray]:
     for s in steps:
         mid = tuple(slice(1, -1) if k else slice(None) for k in s)
         yield v[tuple(_SHIFT[k] for k in s)] - 2 * v[mid] + v[tuple(_SHIFT[-k] for k in s)]
+
+
+def gradient(values: np.ndarray, spacing: tuple) -> np.ndarray:
+    """First differences along each axis, shape (*values.shape, ndim).
+
+    Central where both neighbours are finite, one-sided at the edge of the
+    finite set; nan where no neighbour is finite and at every node that is
+    not finite.
+    """
+    # nan marks the nodes that are not finite, so differences that touch
+    # them come out nan without a warning
+    marked = np.where(np.isfinite(values), values, np.nan)
+    out = np.empty(values.shape + (values.ndim,))
+    for axis, h in enumerate(spacing):
+        v = np.moveaxis(marked, axis, 0)
+        edge = np.full((1,) + v.shape[1:], np.nan)
+        prev, nxt = np.concatenate([edge, v[:-1]]), np.concatenate([v[1:], edge])
+        fwd, bwd, central = (nxt - v) / h, (v - prev) / h, (nxt - prev) / (2 * h)
+        g = np.where(np.isnan(fwd), bwd, fwd)
+        g = np.where(np.isnan(central) | np.isnan(v), g, central)
+        out[..., axis] = np.moveaxis(g, 0, axis)
+    return out
 
 
 def second_difference_slack(values: np.ndarray) -> float:
@@ -231,11 +262,7 @@ def clamped_hull(x: np.ndarray, values: np.ndarray,
     With the default [a, b] it is the lower convex hull, +inf outside the
     finite samples.
     """
-    finite = np.isfinite(values)
-    xs, vs = x[finite], values[finite]
-    hull = lower_hull_indices(xs, vs)
-    xs, vs = xs[hull], vs[hull]
-    slopes = np.diff(vs) / np.diff(xs)
+    xs, vs, slopes = lower_hull(x, values)
     lo = np.searchsorted(slopes, a, side="left")
     hi = np.searchsorted(slopes, b, side="right")
     xs, vs = xs[lo : hi + 1], vs[lo : hi + 1]

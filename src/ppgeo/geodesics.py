@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualPotential, conjugate_nd, second_differences
+from .duality import DualPotential, conjugate_nd, gradient, second_differences
 from .grids import ConfigurationError, SpatialGrid
 
 # the times at which curve_checks samples the primal curve
@@ -196,15 +196,8 @@ def _spacetime_ma_residual(samples: np.ndarray, grid: SpatialGrid, dt: float) ->
     which decays linearly in the spacing for true geodesics and stays O(1)
     for paths that leave the geodesic.
     """
-    v = samples
-    grads = []
-    for axis in range(v.ndim):
-        step = grid.spacing[axis] if axis < grid.ndim else dt
-        sl2 = [slice(1, -1)] * v.ndim
-        sl0 = [slice(1, -1)] * v.ndim
-        sl2[axis], sl0[axis] = slice(2, None), slice(None, -2)
-        grads.append(((v[tuple(sl2)] - v[tuple(sl0)]) / (2 * step)).ravel())
-    cloud = np.stack(grads, axis=1)
+    inner = (slice(1, -1),) * samples.ndim
+    cloud = gradient(samples, grid.spacing + (dt,))[inner].reshape(-1, samples.ndim)
     lo = cloud.min(axis=0)
     hi = cloud.max(axis=0)
     span = np.maximum(hi - lo, 1e-30)

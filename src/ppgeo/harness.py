@@ -13,12 +13,12 @@ import numpy as np
 
 from .bodies import ClassBody, EpsilonFamily, default_class_body, epsilon_family
 from .corpus import CLOSED_FORMS, dual_from_form, random_dual_pairs, sample_closed_form
-from .duality import DualPotential, convexify_moment_values, to_primal
+from .duality import DualPotential, convexify_moment_values
 from .envelopes import envelope, envelope_dual, multi_rooftop, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
 from .measures import i_p, ma_density
-from .metric import FORMAT_VERSION, dp_endpoint, dp_limit, truncate_dual
+from .metric import FORMAT_VERSION, dp_endpoint, truncate_dual
 
 IDENTITY_TOL = 1e-9
 CONVERGENCE_TOL = 0.02
@@ -105,16 +105,11 @@ def make_lab(ndim: int = 1, cells: int = 1024, spatial_cells: int = 2048,
     return Lab(klass, grid, spatial, family, seed, pairs)
 
 
-def _primal_obstacle(u: DualPotential, spatial: SpatialGrid) -> SampledFunction:
-    primal = to_primal(u, spatial)
-    return SampledFunction(spatial, primal.values, provenance=u.provenance)
-
-
-def check_pythagorean(lab: Lab, p: float, eps_route_pairs: int = 0) -> TheoremReport:
+def check_pythagorean(lab: Lab, p: float) -> TheoremReport:
     """d_p^p(u,v) = d_p^p(u,P(u,v)) + d_p^p(v,P(u,v)).
 
     Exact on dual cells (max(a,b)-a and max(a,b)-b partition |a-b|), hence
-    identity tolerance; optionally re-verified through the epsilon limit.
+    identity tolerance.
     """
     slacks = []
     for u, v in lab.pairs:
@@ -122,31 +117,13 @@ def check_pythagorean(lab: Lab, p: float, eps_route_pairs: int = 0) -> TheoremRe
         lhs = dp_endpoint(u, v, p) ** p
         rhs = dp_endpoint(u, roof, p) ** p + dp_endpoint(v, roof, p) ** p
         slacks.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    details = {}
-    if eps_route_pairs:
-        eps_errors = []
-        for u, v in lab.pairs[:eps_route_pairs]:
-            fu = _primal_obstacle(u, lab.spatial)
-            fv = _primal_obstacle(v, lab.spatial)
-            fmin = SampledFunction(lab.spatial, np.minimum(fu.values, fv.values))
-            lhs = dp_limit(fu, fv, lab.family, p).value ** p
-            rhs = (
-                dp_limit(fu, fmin, lab.family, p).value ** p
-                + dp_limit(fv, fmin, lab.family, p).value ** p
-            )
-            eps_errors.append(abs(lhs - rhs) / max(abs(lhs), 1e-12))
-        details["epsilon_route_errors"] = eps_errors
-        details["epsilon_route_tolerance"] = CONVERGENCE_TOL
-        details["epsilon_route_pass"] = max(eps_errors) <= CONVERGENCE_TOL
-    report = TheoremReport(
+    return TheoremReport(
         suite="pythagorean",
         description="squared-distance partition at the rooftop",
         corpus=f"{len(lab.pairs)} seeded pairs, p={p}",
         slacks=slacks,
         tolerance=IDENTITY_TOL,
-        details=details,
     )
-    return report
 
 
 def check_max_inequality(lab: Lab, p: float) -> TheoremReport:
@@ -255,10 +232,9 @@ def check_monotone_continuity(lab: Lab, p: float) -> TheoremReport:
     """u_j decreasing to u forces d_p(u_j, u) -> 0; I_p^{1/p} decays too."""
     caps = CONTINUITY_CAPS
     barrier = dual_from_form("dual_log_barrier", lab.klass.p_body, lab.grid)
-    gaps = [dp_endpoint(truncate_dual(barrier, m), barrier, p) for m in caps]
-    ip_gaps = [
-        i_p(truncate_dual(barrier, m), barrier, p) ** (1.0 / p) for m in caps
-    ]
+    truncations = [truncate_dual(barrier, m) for m in caps]
+    gaps = [dp_endpoint(t, barrier, p) for t in truncations]
+    ip_gaps = [i_p(t, barrier, p) ** (1.0 / p) for t in truncations]
     shift_gaps = [
         dp_endpoint(barrier.shift(1.0 / j), barrier, p) for j in (1, 2, 4, 8)
     ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualPotential, PrimalPotential, second_differences, to_primal
+from .duality import DualPotential, PrimalPotential, gradient, second_differences, to_primal
 from .grids import ConfigurationError, SpatialGrid, check_p
 
 # ma_mixed_pair: negative mixed mass allowed, as a fraction of the body volume
@@ -56,41 +56,10 @@ class DensityField:
         return float(self.density.sum() * np.prod(self.grid.spacing))
 
 
-def _dual_gradient(u: DualPotential) -> np.ndarray:
-    """Gradient of the dual values on the moment grid, shape (*grid, ndim).
-
-    Central differences where both neighbours are finite, one-sided at the
-    boundary of the finite set; nan where no finite neighbour exists.
-    """
-    v = u.values
-    out = np.full(v.shape + (u.grid.ndim,), np.nan)
-    for axis in range(u.grid.ndim):
-        h = u.grid.spacing[axis]
-        vm = np.moveaxis(v, axis, 0)
-        fin = np.isfinite(vm)
-        has_prev = np.zeros_like(fin)
-        has_prev[1:] = fin[:-1]
-        has_next = np.zeros_like(fin)
-        has_next[:-1] = fin[1:]
-        vprev = np.roll(vm, 1, axis=0)
-        vnext = np.roll(vm, -1, axis=0)
-        g = np.full(vm.shape, np.nan)
-        with np.errstate(invalid="ignore"):
-            central = fin & has_prev & has_next
-            g[central] = ((vnext - vprev) / (2 * h))[central]
-            fwd = fin & has_next & ~central
-            g[fwd] = ((vnext - vm) / h)[fwd]
-            bwd = fin & has_prev & ~central
-            g[bwd] = ((vm - vprev) / h)[bwd]
-        out[..., axis] = np.moveaxis(g, 0, axis)
-    return out
-
-
 def ma_atomic(u: DualPotential) -> AtomicMeasure:
     """Pushforward of the moment-grid weights under the dual gradient."""
-    grad = _dual_gradient(u)
     w = u.grid.weights.ravel()
-    g = grad.reshape(-1, u.grid.ndim)
+    g = gradient(u.values, u.grid.spacing).reshape(-1, u.grid.ndim)
     keep = (w > 0) & np.isfinite(g).all(axis=1)
     return AtomicMeasure(g[keep], w[keep], provenance=u.provenance)
 

@@ -314,8 +314,7 @@ def sup_bound_check(corpus: list[DualPotential], p: float, phi: DualPotential,
     sups = np.array([s for s, _ in pts])
     dists = np.array([d for _, d in pts])
     if len(pts) >= 2 and np.ptp(dists) > 1e-12:
-        a = np.stack([np.ones_like(dists), dists], axis=1)
-        coeffs, *_ = np.linalg.lstsq(a, sups, rcond=None)
+        coeffs, _ = _affine_fit(dists, sups)
         c1, c2 = float(coeffs[0]), max(0.0, float(coeffs[1]))
     else:
         c1, c2 = float(sups.max()), 0.0

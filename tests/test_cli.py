@@ -148,15 +148,18 @@ def test_verify_report_file(config, tmp_path, capsys):
         ({"moment_cells": "abc"}, ["distance"]),
         ({"spatial": {"lo": [-4.0], "cells": [512]}}, ["distance"]),
         ({"obstacles": ["quadratic"]}, ["distance", "--route", "limit"]),
+        ({}, ["corpus", "--out", "{tmp}/missing/x.json"]),
+        ({}, ["distance", "--out", "{tmp}"]),
     ],
     ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
          "negative-seed-index", "moment-cells-not-integer", "spatial-without-hi",
-         "limit-with-one-obstacle"],
+         "limit-with-one-obstacle", "out-in-missing-directory", "out-is-a-directory"],
 )
 def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     path = tmp_path / "config.json"
     if cfg is not None:
         path.write_text(json.dumps(cfg))
+    argv = [a.format(tmp=tmp_path) for a in argv]
     rc = main(argv + ["--config", str(path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,11 @@ from ppgeo.corpus import random_dual
 from ppgeo.duality import (
     conjugate_oracle,
     convexify_moment_values,
+    gradient,
     lower_hull_indices,
     second_differences,
 )
+from ppgeo.geodesics import T_SAMPLES, geodesic
 
 BODY = default_class_body(1).p_body
 GRID = moment_grid(BODY, 256)
@@ -289,3 +293,87 @@ def test_2d_to_primal_skips_grid_lines_outside_the_body():
     u = DualPotential(body, grid, np.where(grid.mask, p1**2 + p2**2 - p1 * p2, np.inf), "skew")
     sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
     assert np.abs(to_primal(u, sp).values.ravel() - u.eval_primal(sp.nodes())).max() <= 1e-12
+
+
+def _dual_gradient(u: DualPotential) -> np.ndarray:
+    """The roll-and-mask dual gradient ``gradient`` replaced, kept as the reference."""
+    v = u.values
+    out = np.full(v.shape + (u.grid.ndim,), np.nan)
+    for axis in range(u.grid.ndim):
+        h = u.grid.spacing[axis]
+        vm = np.moveaxis(v, axis, 0)
+        fin = np.isfinite(vm)
+        has_prev = np.zeros_like(fin)
+        has_prev[1:] = fin[:-1]
+        has_next = np.zeros_like(fin)
+        has_next[:-1] = fin[1:]
+        vprev = np.roll(vm, 1, axis=0)
+        vnext = np.roll(vm, -1, axis=0)
+        g = np.full(vm.shape, np.nan)
+        with np.errstate(invalid="ignore"):
+            central = fin & has_prev & has_next
+            g[central] = ((vnext - vprev) / (2 * h))[central]
+            fwd = fin & has_next & ~central
+            g[fwd] = ((vnext - vm) / h)[fwd]
+            bwd = fin & has_prev & ~central
+            g[bwd] = ((vm - vprev) / h)[bwd]
+        out[..., axis] = np.moveaxis(g, 0, axis)
+    return out
+
+
+def _spacetime_central_slices(samples, grid, dt):
+    """The space-time central differences ``gradient`` replaced, kept as the reference."""
+    v = samples
+    grads = []
+    for axis in range(v.ndim):
+        step = grid.spacing[axis] if axis < grid.ndim else dt
+        sl2 = [slice(1, -1)] * v.ndim
+        sl0 = [slice(1, -1)] * v.ndim
+        sl2[axis], sl0[axis] = slice(2, None), slice(None, -2)
+        grads.append(((v[tuple(sl2)] - v[tuple(sl0)]) / (2 * step)).ravel())
+    return np.stack(grads, axis=1)
+
+
+def _holed_dual(body, grid, rng):
+    """Signed zeros, small integers, normals, nan and scattered +inf holes on the body."""
+    vals = np.where(rng.random(grid.shape) < 0.5, rng.normal(size=grid.shape),
+                    rng.choice([-1.0, -0.0, 0.0, 1.0], grid.shape))
+    vals[rng.random(grid.shape) < 0.1] = np.nan
+    vals[rng.random(grid.shape) < 0.2] = np.inf
+    return DualPotential(body, grid, np.where(grid.mask, vals, np.inf), "holed")
+
+
+@pytest.mark.parametrize("body", [BODY, SQUARE, TRIANGLE], ids=["1d", "square", "triangle"])
+def test_gradient_matches_the_roll_and_mask_dual_gradient(body):
+    rng = np.random.default_rng(11)
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cells in (8, 16, 33, 64):
+            u = _holed_dual(body, moment_grid(body, cells), rng)
+            got, want = gradient(u.values, u.grid.spacing), _dual_gradient(u)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            seen.append(got.ravel())
+    seen = np.concatenate(seen)
+    # the inputs reach the signed-zero and nan cases
+    assert np.signbit(seen[seen == 0]).any() and np.isnan(seen).any()
+
+
+@pytest.mark.parametrize("body", [BODY, SQUARE], ids=["1d", "square"])
+def test_gradient_interior_matches_spacetime_central_slices(body):
+    rng = np.random.default_rng(12)
+    if body.ndim == 1:
+        u0, u1 = random_dual(rng, BODY, GRID), random_dual(rng, BODY, GRID)
+        grid = SPATIAL
+    else:
+        u0, u1 = (_max_of_quadratic_and_affine(SQUARE, rng) for _ in range(2))
+        grid = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (24, 24))
+    curve = geodesic(u0, u1)
+    samples = np.stack([curve.primal_at(t, grid) for t in T_SAMPLES], axis=-1)
+    dt = T_SAMPLES[1] - T_SAMPLES[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inner = (slice(1, -1),) * samples.ndim
+        got = gradient(samples, grid.spacing + (dt,))[inner].reshape(-1, samples.ndim)
+        assert np.array_equal(got, _spacetime_central_slices(samples, grid, dt))

@@ -38,11 +38,6 @@ def test_verdict_flips_on_tolerance():
     assert rep.verdict == "pass"
 
 
-def test_pythagorean_epsilon_route(lab):
-    rep = check_pythagorean(lab, 2.0, eps_route_pairs=2)
-    assert rep.details["epsilon_route_pass"]
-
-
 def test_completeness_budget_and_limits(lab):
     rep = check_completeness(lab, 2.0, kind="oscillating")
     assert rep.verdict == "pass"
