@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -190,15 +191,25 @@ class Experiment:
         return dual_from_form(self.cfg["potential"], self.klass.p_body, self.grid)
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before any work if ``--out`` cannot be written; leave no new file."""
+    if out is None:
+        return
+    existed = os.path.exists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out!r}: {exc}")
+    if not existed:
+        os.remove(out)
+
+
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {out!r}: {exc}")
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def cmd_distance(exp: Experiment, args) -> int:
@@ -369,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         cfg = load_config(args.config)
         if args.p is not None:
             cfg["p"] = args.p

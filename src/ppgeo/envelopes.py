@@ -4,13 +4,13 @@ Envelopes are computed through the dual: ``envelope_dual`` restricts the
 conjugate f* to the body, which is all the distance routes read, and
 ``envelope`` transforms back to the primal and its contact set, exactly in
 1d (the obstacle's lower hull, slopes clamped to the body interval) and
-over a slope grid refined ``REFINE`` times in 2d.  ``iterative_envelope``
-(repeated convexify and clip under f) is the cross-check oracle.
+over a slope grid refined ``REFINE`` times in 2d.  The envelope measure is
+``ma_density`` of that primal in every dimension (in 1d the clamped hull's
+atoms).  ``iterative_envelope`` (convexify and clip under f) is the oracle.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,17 +25,10 @@ from .duality import (
     convexify,
     second_differences,
 )
-from .grids import (
-    ConfigurationError,
-    MomentGrid,
-    SampledFunction,
-    SpatialGrid,
-    moment_grid,
-    tensor_nodes,
-)
-from .measures import hessian_density, ma_atomic
+from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid, tensor_nodes
+from .measures import hessian_density, ma_density
 
-# slope-grid refinement of the 2d envelope primal and of envelope densities
+# slope-grid refinement of the 2d envelope primal
 REFINE = 16
 # iterative_envelope stops after this many rounds or below this change
 ITERATIVE_MAX_ITERS = 200
@@ -167,39 +160,14 @@ def multi_rooftop(potentials: list[DualPotential]) -> DualPotential:
     return out
 
 
-def envelope_density(rec: EnvelopeRecord) -> np.ndarray:
-    """Density of the envelope's measure on the obstacle's spatial grid.
-
-    Pushes the body's Lebesgue measure forward under the gradient of a
-    refined conjugate of the obstacle and deposits the atoms onto the
-    spatial cells with linear (cloud-in-cell) weights.  This avoids the
-    spike noise that second differences of a slope-quantized reconstruction
-    would produce.
-    """
-    fine = moment_grid(rec.body, tuple(REFINE * c for c in rec.dual.grid.cells))
-    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.body, fine))
-    return _deposit(atoms.locations, atoms.masses, rec.obstacle.grid)
-
-
-def _deposit(points: np.ndarray, masses: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Cloud-in-cell deposit of weighted atoms onto a spatial node grid."""
-    dens = np.zeros(grid.shape)
-    pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
-    i0 = [np.clip(np.floor(q).astype(int), 0, s - 2) for q, s in zip(pos, grid.shape)]
-    fr = [np.clip(q - j, 0.0, 1.0) for q, j in zip(pos, i0)]
-    for corner in itertools.product((0, 1), repeat=grid.ndim):
-        w = math.prod(f if c else 1 - f for f, c in zip(fr, corner))
-        np.add.at(dens, tuple(j + c for j, c in zip(i0, corner)), masses * w)
-    return dens / float(np.prod(grid.spacing))
-
-
 def measure_identity_residual(rec: EnvelopeRecord) -> float:
-    """L1 defect of: envelope density = (contact indicator) * obstacle density.
+    """L1 defect of MA(P(f)) = 1_{P(f)=f} MA(f), both sides as Hessian densities.
 
-    Small residual certifies that the envelope's measure lives on the
-    contact set and agrees with the obstacle's measure there.
+    The left side is ``ma_density`` of the envelope primal (in 1d the clamped
+    hull's atoms; border nodes carry 0), so a small residual certifies that
+    the envelope's measure lives on the contact set and agrees with f's there.
     """
-    rho_env = envelope_density(rec)
+    rho_env = ma_density(rec.primal).density
     # the obstacle need not be convex; compute its density field directly
     rho_f = np.maximum(hessian_density(rec.obstacle.values, rec.obstacle.grid), 0.0)
     cell = float(np.prod(rec.primal.grid.spacing))

@@ -35,7 +35,6 @@ from ppgeo import (
 )
 from ppgeo.cli import main as cli_main
 from ppgeo.corpus import random_dual_pairs, sample_closed_form
-from ppgeo.envelopes import envelope_density
 from ppgeo.harness import check_completeness, check_epsilon_lemmas, make_lab
 
 KLASS = default_class_body(1)
@@ -85,7 +84,7 @@ def test_03_envelope_measure_identity():
         f = SampledFunction(SPATIAL, sample_closed_form(name, SPATIAL), name)
         rec = envelope(f, KLASS.p_body, GRID, hessian_bound=c)
         res = measure_identity_residual(rec)
-        sup = float(envelope_density(rec).max())
+        sup = float(ma_density(rec.primal).density.max())
         h = max(SPATIAL.spacing)
         ok = ok and res <= 10 * h * c and sup <= c * 1.01
         details.append(f"{name}: res={res:.4f}<=?{10 * h * c:.4f} sup={sup:.4f}")

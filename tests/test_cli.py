@@ -165,6 +165,27 @@ def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("command, work", [("distance", "dp_endpoint"), ("verify", "run_suites")])
+def test_unwritable_out_fails_before_any_work(config, capsys, tmp_path, monkeypatch,
+                                              command, work):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(ppgeo.cli, work, never)
+    rc = main([command, "--config", config({}), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {str(tmp_path)!r}")
+
+
+def test_out_check_leaves_no_file_on_a_config_error(capsys, tmp_path):
+    out_file = tmp_path / "d.json"
+    rc = main(["distance", "--config", str(tmp_path / "missing.json"), "--out", str(out_file)])
+    assert rc == 2
+    assert not out_file.exists()
+
+
 def test_seed_flag_changes_seeded_pair(config, capsys):
     cfg = config({"pair": {"seed_index": 0}})
     _, out1 = run(capsys, "distance", "--config", cfg, "--seed", "1")

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from ppgeo import (
     default_class_body,
     dual_from_form,
     envelope,
+    ma_atomic,
+    ma_density,
     measure_identity_residual,
     minkowski_sum,
     moment_grid,
@@ -15,14 +20,14 @@ from ppgeo import (
     rooftop,
 )
 from ppgeo.corpus import sample_closed_form
-from ppgeo.duality import conjugate_oracle, lower_hull_indices
+from ppgeo.duality import conjugate_oracle, lower_hull, lower_hull_indices
 from ppgeo.envelopes import (
-    envelope_density,
     envelope_dual,
     estimate_hessian_bound,
     iterative_envelope,
 )
 from ppgeo.grids import ConfigurationError
+from ppgeo.measures import hessian_density
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -122,7 +127,72 @@ def test_measure_identity(name, c):
     rec = envelope(f, KLASS.p_body, GRID, hessian_bound=c)
     h = max(SPATIAL.spacing)
     assert measure_identity_residual(rec) <= 10 * h * c
-    assert envelope_density(rec).max() <= c * 1.01
+    assert ma_density(rec.primal).density.max() <= c * 1.01
+
+
+PRIMAL_FORMS = ["support_[0,1]", "shifted_support", "quadratic", "quadratic_bump", "soft_ramp"]
+
+
+def body_at(eps):
+    return minkowski_sum(KLASS.p_body, KLASS.q_body, eps) if eps else KLASS.p_body
+
+
+@pytest.mark.parametrize("name", PRIMAL_FORMS)
+@pytest.mark.parametrize("eps", [0.0, 0.0125, 0.2])
+def test_1d_envelope_density_is_the_hull_atoms(name, eps):
+    body = body_at(eps)
+    f = obstacle(name)
+    rec = envelope(f, body, moment_grid(body, 1024))
+    rho = ma_density(rec.primal).density
+    (a,), (b,) = body.bounding_box()
+    x, h = SPATIAL.axes()[0], SPATIAL.spacing[0]
+    # oracle: the vertex with incoming slope s_{i-1} and outgoing slope s_i
+    # carries |[s_{i-1}, s_i] ∩ [a, b]|, spread over its cell
+    nodes, _, slopes = lower_hull(x, f.values)
+    edges = np.concatenate([[-np.inf], slopes, [np.inf]])
+    atoms = np.zeros_like(x)
+    atoms[np.searchsorted(x, nodes)] = np.clip(
+        np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None)
+    assert np.abs(rho[1:-1] - atoms[1:-1] / h).max() <= 1e-9
+    if atoms[0] == atoms[-1] == 0.0:
+        assert abs(rho.sum() * h - (b - a)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["soft_ramp", "support_[0,1]", "shifted_support"])
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_measure_identity_is_exact_for_admissible_obstacles(name, eps):
+    body = body_at(eps)
+    rec = envelope(obstacle(name), body, moment_grid(body, 1024))
+    assert measure_identity_residual(rec) <= 1e-12
+
+
+def pushforward_density(rec):
+    """Oracle: the body pushed forward through a 16x-refined f*, cloud-in-cell deposit."""
+    fine = moment_grid(rec.body, tuple(16 * c for c in rec.dual.grid.cells))
+    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.body, fine))
+    points, masses, grid = atoms.locations, atoms.masses, rec.obstacle.grid
+    dens = np.zeros(grid.shape)
+    pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
+    i0 = [np.clip(np.floor(q).astype(int), 0, s - 2) for q, s in zip(pos, grid.shape)]
+    fr = [np.clip(q - j, 0.0, 1.0) for q, j in zip(pos, i0)]
+    for corner in itertools.product((0, 1), repeat=grid.ndim):
+        w = math.prod(f if c else 1 - f for f, c in zip(fr, corner))
+        np.add.at(dens, tuple(j + c for j, c in zip(i0, corner)), masses * w)
+    return dens / float(np.prod(grid.spacing))
+
+
+def test_2d_measure_identity_matches_the_refined_pushforward():
+    square = default_class_body(2).p_body
+    spatial = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (64, 64))
+    x = spatial.nodes().reshape(spatial.shape + (2,))
+    waves = np.random.default_rng(20240).uniform([1.0, 1.0, 0.0], [4.0, 4.0, 2 * np.pi], (2, 3))
+    ripple = sum(0.1 * np.cos(kx * x[..., 0] + ky * x[..., 1] + ph) for kx, ky, ph in waves)
+    f = SampledFunction(spatial, 0.5 * (x**2).sum(-1) + ripple, "ripple")
+    rec = envelope(f, square, moment_grid(square, 32))
+    rho_f = np.maximum(hessian_density(f.values, spatial), 0.0)
+    cell = float(np.prod(spatial.spacing))
+    old = float(np.sum(np.abs(pushforward_density(rec) - rec.contact_mask * rho_f)) * cell)
+    assert abs(measure_identity_residual(rec) - old) <= 0.01 * old
 
 
 def test_hessian_bound_estimate():

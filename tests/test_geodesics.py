@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ppgeo import (
+    Body,
+    DualPotential,
     SpatialGrid,
     curve_checks,
     default_class_body,
@@ -106,3 +110,24 @@ def test_spacetime_residual_scales_with_h():
         res.append(curve_checks(geodesic(u, v), sp)["spacetime_ma_residual"])
     # quadrupling the resolution should cut the weak residual down ~4x
     assert res[1] <= 0.5 * res[0]
+
+
+def test_masked_endpoints_stay_singular_without_warnings():
+    triangle = Body([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    grid = moment_grid(triangle, 16)
+    p = grid.nodes().reshape(grid.shape + (2,))
+    u = DualPotential(triangle, grid, np.where(grid.mask, (p**2).sum(-1), np.inf))
+    v = DualPotential(triangle, grid, np.where(grid.mask, p[..., 0] - p[..., 1], np.inf))
+    assert (~grid.mask).any()
+    curve = geodesic(u, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, end in ((0.0, u), (1.0, v)):
+            mid = curve.potential_at(t)
+            assert np.array_equal(mid.values, end.values)
+            assert mid.is_singular
+        assert np.isinf(curve.dual_at(0.5)[~grid.mask]).all()
+        ck = curve_checks(curve, SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16)))
+    finite = grid.mask
+    assert ck["lipschitz_bound"] == np.abs(u.values[finite] - v.values[finite]).max()
+    assert all(np.isfinite(value) for value in ck.values())
