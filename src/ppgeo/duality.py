@@ -8,9 +8,9 @@ off the same hull (``clamped_hull``).  ``conjugate_nd`` is one 1d pass per
 axis, and ``DualPotential.eval_primal`` is separable in every dimension:
 one 1d conjugate per column of the dual along the first axis.  One
 convexification (``convexify_moment_values``) serves spatial and moment
-grids.  ``gradient`` (first differences) sits beside ``second_differences``.
-The O(N*M) maximum over every node is the independent oracle
-``conjugate_oracle``.
+grids; in 2d it reads the lower facets of the 3d hull (``lower_facets``, Qhull)
+through ``max_affine``, which is also the O(N*M) oracle ``conjugate_oracle``.
+``gradient`` (first differences) sits beside ``second_differences``.
 """
 from __future__ import annotations
 
@@ -60,6 +60,27 @@ def lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return xs, vs, (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
 
 
+def lower_facets(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower facets z = <g, x> + c of the hull of finite samples: slopes g, offsets c, vertices.
+
+    An apex above the centroid keeps an affine input 3d; no lower facet touches it.
+    """
+    from scipy.spatial import ConvexHull
+
+    apex = np.append(points.mean(axis=0), 2 * values.max() - values.min() + 1.0)
+    hull = ConvexHull(np.vstack([np.column_stack([points, values]), apex]))
+    # outward normals n with n . (x, z) + d = 0; the lower facets face down
+    n, lower = hull.equations, hull.equations[:, 2] < 0
+    return -n[lower, :2] / n[lower, 2:3], -n[lower, 3] / n[lower, 2], np.unique(hull.simplices[lower])
+
+
+def max_affine(points: np.ndarray, slopes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """max_k (<g_k, x> + c_k) at each point, in blocks of about 2**20 products."""
+    step = max(1, 2**20 // len(slopes))
+    blocks = (points[s : s + step] @ slopes.T + offsets for s in range(0, len(points), step))
+    return np.concatenate([np.empty(0)] + [block.max(axis=1) for block in blocks])
+
+
 def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
     xs, vs, slopes = lower_hull(x, v)
@@ -69,8 +90,7 @@ def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def conjugate_oracle(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cross-check oracle for ``conjugate_1d``: the O(N*M) maximum, no hull."""
-    x, v = _finite_samples(x, v)
-    return np.max(np.outer(q, x) - v[None, :], axis=1)
+    return max_affine(q[:, None], *_finite_samples(x[:, None], -v))
 
 
 def _conjugate_along_axis(values: np.ndarray, nodes: np.ndarray,
@@ -284,21 +304,21 @@ def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
 def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex hull of the finite values on a moment or a spatial grid.
 
-    Exact in 1d (+inf outside the finite range).  In 2d an approximation: a
-    double conjugate over a slope box that covers every finite discrete gradient, 2 * cells + 1
-    slopes per axis, then a min with the values as a rounding guard; +inf
-    wherever the values are +inf, since the box extends the hull past them.
+    Exact in every dimension, +inf wherever the values are +inf.  In 2d a
+    hull vertex keeps its value; every other finite node takes the largest
+    lower-facet plane (``lower_facets``), capped by its value as a rounding
+    guard.
     """
     axes = grid.axes()
     if grid.ndim == 1:
         return clamped_hull(axes[0], values)
-    # nan marks +inf, so differences that touch it drop out without a warning
-    marked = np.where(np.isfinite(values), values, np.nan)
-    slopes = []
-    for i, (h, c) in enumerate(zip(grid.spacing, grid.cells)):
-        d = np.abs(np.diff(marked, axis=i))
-        g = d[~np.isnan(d)].max(initial=0.0) / h
-        slopes.append(np.linspace(-g - 1.0, g + 1.0, 2 * c + 1))
-    star = conjugate_nd(values, axes, slopes)
-    hull = np.minimum(conjugate_nd(star, slopes, axes), values)
-    return np.where(np.isposinf(values), np.inf, hull)
+    out, nodes = values.flatten(), tensor_nodes(axes)
+    finite = np.flatnonzero(np.isfinite(out))
+    line = nodes[finite] - nodes[finite[0]]
+    if np.linalg.matrix_rank(line) < 2:  # a needle body's cells: the 1d hull along their line
+        out[finite] = clamped_hull(line @ line[-1], out[finite])
+    else:
+        slopes, offsets, vertices = lower_facets(nodes[finite], out[finite])
+        rest = np.delete(finite, vertices)
+        out[rest] = np.minimum(max_affine(nodes[rest], slopes, offsets), out[rest])
+    return out.reshape(values.shape)

@@ -3,15 +3,14 @@
 Envelopes are computed through the dual: ``envelope_dual`` restricts the
 conjugate f* to the body, which is all the distance routes read, and
 ``envelope`` transforms back to the primal and its contact set, exactly in
-1d (the obstacle's lower hull, slopes clamped to the body interval) and
-over a slope grid refined ``REFINE`` times in 2d.  The envelope measure is
-``ma_density`` of that primal in every dimension (in 1d the clamped hull's
-atoms).  ``iterative_envelope`` (convexify and clip under f) is the oracle.
+every dimension: the obstacle's lower hull read with slopes in the body.
+The envelope measure is ``ma_density`` of that primal (in 1d the clamped
+hull's atoms).  ``iterative_envelope``, one convexification of min(start,
+f), is the oracle.
 """
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +22,13 @@ from .duality import (
     clamped_hull,
     conjugate_nd,
     convexify,
+    lower_facets,
+    lower_hull,
+    max_affine,
     second_differences,
 )
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid, tensor_nodes
+from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
 from .measures import hessian_density, ma_density
-
-# slope-grid refinement of the 2d envelope primal
-REFINE = 16
-# iterative_envelope stops after this many rounds or below this change
-ITERATIVE_MAX_ITERS = 200
-ITERATIVE_TOL = 1e-12
 
 
 def estimate_hessian_bound(f: SampledFunction) -> float:
@@ -75,14 +71,7 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     primal_vals = _primal_with_vertex_slopes(f, body, grid)
     primal = PrimalPotential(f.grid, primal_vals, body=body, provenance=f.provenance)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
-    contact = primal.values >= f.values - tol
-    if not contact.any():
-        warnings.warn(
-            "empty contact set: obstacle growth does not match the body "
-            "(envelope dominated by box boundary artifacts)",
-            stacklevel=2,
-        )
-    return EnvelopeRecord(f, body, primal, dual, contact, c_f, tol)
+    return EnvelopeRecord(f, body, primal, dual, primal.values >= f.values - tol, c_f, tol)
 
 
 def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPotential:
@@ -97,49 +86,37 @@ def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPoten
     return DualPotential(body, grid, np.where(grid.mask, star, np.inf), provenance=f.provenance)
 
 
-def _fine_slope_axes(body: Body, grid: MomentGrid) -> list[np.ndarray]:
-    """Refined slope axes over a 2d body's box, vertex coordinates included.
-
-    Cell-center slopes alone miss the extreme slopes of the body, which
-    shows up as an O(h) tilt on flat regions; since f* can be evaluated at
-    arbitrary slopes, the grid is refined and the per-axis vertex
-    coordinates are added exactly.  1d envelopes need no slope grid.
-    """
-    verts = body.vertex_array
-    lo, hi = body.bounding_box()
-    axes = []
-    for i in range(grid.ndim):
-        fine = np.linspace(lo[i], hi[i], REFINE * grid.cells[i] + 1)
-        axes.append(np.sort(np.unique(np.concatenate([fine, verts[:, i]]))))
-    return axes
-
-
 def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid) -> np.ndarray:
-    """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes."""
+    """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes, exactly.
+
+    In 2d the concave, piecewise affine q -> <q,x> - f*(q) peaks at a body vertex,
+    at a kink of f* on a body edge or at a lower-facet slope inside the body.
+    """
     if grid.ndim == 1:
         (a,), (b,) = body.bounding_box()
         return clamped_hull(f.grid.axes()[0], f.values, a, b)
-    axes = _fine_slope_axes(body, grid)
-    star = conjugate_nd(f.values, f.grid.axes(), axes)
-    inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
-    star = np.where(inside, star, np.inf)
-    return conjugate_nd(star, axes, f.grid.axes())
+    x, v = f.grid.nodes(), f.values.ravel()
+    slopes, _, hull = lower_facets(x, v)
+    xh, vh, corners = x[hull], v[hull], body.vertex_array  # f* is a max over the hull vertices
+    q = [corners, slopes[body.contains(slopes)]]
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        # f*(a + t (b - a)) is the 1d conjugate of (<b - a, x_i>, f_i - <a, x_i>), lowest per x
+        s, w = xh @ (b - a), vh - xh @ a
+        order = np.lexsort((w, s))
+        first = order[np.unique(s[order], return_index=True)[1]]
+        t = lower_hull(s[first], w[first])[2]
+        q.append(a + t[(t > 0) & (t < 1), None] * (b - a))
+    q = np.concatenate(q)
+    return max_affine(x, q, -max_affine(q, xh, -vh)).reshape(f.grid.shape)
 
 
 def iterative_envelope(f: SampledFunction, start: PrimalPotential) -> PrimalPotential:
-    """Cross-check oracle: repeated convexify-and-clip under the obstacle.
+    """Cross-check oracle: the hull of min(start, f), a fixpoint after one exact pass.
 
-    Converges to the unconstrained convex envelope of min(f, start-route
-    envelope); starting from the dual-route result it verifies fixpointness.
+    From the dual-route envelope it checks that the envelope is convex and below f.
     """
-    vals = np.minimum(start.values, f.values)
-    grid = f.grid
-    for _ in range(ITERATIVE_MAX_ITERS):
-        hulled = convexify(SampledFunction(grid, vals), body=start.body).values
-        if np.max(np.abs(hulled - vals)) < ITERATIVE_TOL:
-            break
-        vals = hulled
-    return PrimalPotential(grid, vals, body=start.body, provenance=f.provenance)
+    low = SampledFunction(f.grid, np.minimum(start.values, f.values), f.provenance)
+    return convexify(low, body=start.body)
 
 
 def rooftop(u: DualPotential, v: DualPotential) -> DualPotential:

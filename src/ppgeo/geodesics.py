@@ -58,8 +58,9 @@ class GeodesicCurve:
         return conjugate_nd(self.dual_at(t), self.grid.axes(), grid.axes())
 
     def dual_difference(self) -> np.ndarray:
-        """u1* - u0* per moment node; the dual-cell velocity."""
-        return self.u1.values - self.u0.values
+        """u1* - u0* per moment node; the dual-cell velocity, 0 where both are +inf."""
+        both = np.isposinf(self.u0.values) & np.isposinf(self.u1.values)
+        return np.where(both, 0.0, self.u1.values) - np.where(both, 0.0, self.u0.values)
 
     def subcurve(self, t: float) -> "GeodesicCurve":
         """The geodesic from u0 to u_t (dual-affinity makes this exact)."""
@@ -107,7 +108,8 @@ def velocity_spatial(curve: GeodesicCurve, end: int, t_steps, grid: SpatialGrid)
         raise ConfigurationError("t_steps must lie strictly inside (0, 1)")
     base = curve.reversed() if end == 1 else curve
     p0 = base.primal_at(0.0, grid)
-    scale = max(1.0, float(np.abs(base.dual_difference()).max()))
+    d = np.abs(base.dual_difference())
+    scale = max(1.0, float(d[np.isfinite(d)].max(initial=0.0)))
     quotients = []
     for t in t_steps:
         quotients.append((base.primal_at(t, grid) - p0) / t)
@@ -164,9 +166,8 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
     sup_diff = float(np.abs(p0 - p1).max())
     # the exact modulus for dual-affine interpolation; the primal samples
     # can miss the sup between nodes by O(h)
-    a, b = curve.u0.values, curve.u1.values
-    finite = np.isfinite(a) & np.isfinite(b)
-    lip_bound = float(np.abs(a[finite] - b[finite]).max())
+    d = curve.dual_difference()
+    lip_bound = float(np.abs(d[np.isfinite(d)]).max())
     lip = 0.0
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):

@@ -22,10 +22,12 @@ from ppgeo import (
 )
 from ppgeo.corpus import random_dual
 from ppgeo.duality import (
+    clamped_hull,
     conjugate_oracle,
     convexify_moment_values,
     gradient,
     lower_hull_indices,
+    second_difference_slack,
     second_differences,
 )
 from ppgeo.geodesics import T_SAMPLES, geodesic
@@ -282,6 +284,72 @@ def test_2d_convexification_keeps_a_convex_dual(body):
     capped = truncate_dual(u, cap=1e9)
     assert np.abs(capped.values[on] - vals[on]).max() <= 1e-12
     assert np.isposinf(capped.values[~on]).all()
+
+
+def test_2d_convexification_of_a_separable_input_is_the_sum_of_1d_hulls():
+    grid = moment_grid(SQUARE, 32)
+    p1, p2 = grid.axes()
+    wavy = lambda p: np.cos(7 * p) + 2 * p**2  # noqa: E731
+    hull = convexify_moment_values(grid, wavy(p1)[:, None] + wavy(p2)[None, :])
+    exact = clamped_hull(p1, wavy(p1))[:, None] + clamped_hull(p2, wavy(p2))[None, :]
+    assert np.abs(hull - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("body", [SQUARE, TRIANGLE], ids=["square", "triangle"])
+def test_2d_convexification_keeps_an_affine_input(body):
+    # every sample lies on one plane, so the hull is flat but for the apex
+    grid = moment_grid(body, 32)
+    p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
+    vals = np.where(grid.mask, 0.3 + 2 * p1 - 1.5 * p2, np.inf)
+    hull = convexify_moment_values(grid, vals)
+    assert np.abs(hull[grid.mask] - vals[grid.mask]).max() <= 1e-12
+    assert np.isposinf(hull[~grid.mask]).all()
+
+
+def test_2d_convexification_on_a_needle_is_the_1d_hull_along_it():
+    # at 8 cells only the diagonal cell centres lie in this needle
+    needle = Body([(0.0, 0.0), (1.0, 0.97), (0.97, 1.0)])
+    grid = moment_grid(needle, 8)
+    assert np.array_equal(grid.mask, np.eye(8, dtype=bool))
+    p = grid.axes()[0]
+    vals = np.where(grid.mask, np.cos(9 * p)[:, None], np.inf)
+    hull = convexify_moment_values(grid, vals)
+    assert np.abs(np.diag(hull) - clamped_hull(p, np.cos(9 * p))).max() <= 1e-12
+    assert np.isposinf(hull[~grid.mask]).all()
+
+
+def _slope_box_hull(grid, values):
+    """The slope-box double conjugate the exact 2d hull replaced, kept as the oracle."""
+    axes = grid.axes()
+    # nan marks +inf, so differences that touch it drop out without a warning
+    marked = np.where(np.isfinite(values), values, np.nan)
+    slopes = []
+    for i, (h, c) in enumerate(zip(grid.spacing, grid.cells)):
+        d = np.abs(np.diff(marked, axis=i))
+        g = d[~np.isnan(d)].max(initial=0.0) / h
+        slopes.append(np.linspace(-g - 1.0, g + 1.0, 2 * c + 1))
+    star = conjugate_nd(values, axes, slopes)
+    hull = np.minimum(conjugate_nd(star, slopes, axes), values)
+    return np.where(np.isposinf(values), np.inf, hull)
+
+
+@pytest.mark.parametrize("body", [SQUARE, TRIANGLE], ids=["square", "triangle"])
+@pytest.mark.parametrize("cap", [2.0, 8.0])
+def test_2d_truncation_is_the_exact_hull_of_the_capped_barrier(body, cap):
+    grid = moment_grid(body, 32)
+    on = grid.mask
+    p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
+    barrier = np.where(on, -np.log(1 - p1) + p2**2 / 2, np.inf)
+    capped = np.where(on, np.minimum(barrier, cap), np.inf)
+    out = truncate_dual(DualPotential(body, grid, barrier, "barrier"), cap).values
+    box = _slope_box_hull(grid, capped)
+    # any double conjugate over fewer slopes lies below the hull; the box by 1e-2 or more
+    assert (out[on] >= box[on] - 1e-12).all()
+    assert (out[on] - box[on]).max() > 1e-3
+    assert (out[on] <= capped[on]).all()
+    with np.errstate(invalid="ignore"):  # inf - inf off the mask drops out as nan
+        assert second_difference_slack(out) >= -1e-12
+    assert np.isposinf(out[~on]).all()
 
 
 def test_2d_to_primal_skips_grid_lines_outside_the_body():

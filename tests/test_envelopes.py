@@ -20,13 +20,19 @@ from ppgeo import (
     rooftop,
 )
 from ppgeo.corpus import sample_closed_form
-from ppgeo.duality import conjugate_oracle, lower_hull, lower_hull_indices
+from ppgeo.duality import (
+    clamped_hull,
+    conjugate_nd,
+    conjugate_oracle,
+    lower_hull,
+    lower_hull_indices,
+)
 from ppgeo.envelopes import (
     envelope_dual,
     estimate_hessian_bound,
     iterative_envelope,
 )
-from ppgeo.grids import ConfigurationError
+from ppgeo.grids import ConfigurationError, tensor_nodes
 from ppgeo.measures import hessian_density
 
 KLASS = default_class_body(1)
@@ -82,11 +88,61 @@ def test_envelope_below_obstacle():
     assert (rec.primal.values <= f.values + rec.contact_tol).all()
 
 
+SQUARE = default_class_body(2).p_body
+SLANTED = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
+
+
+def separable_ripple(spatial):
+    """Per axis x^2/2 + 0.1 cos(7x + phase), summed over the two axes."""
+    axes = spatial.axes()
+    parts = [0.5 * a**2 + 0.1 * np.cos(7 * a + ph) for a, ph in zip(axes, (0.4, 1.9))]
+    return parts, SampledFunction(spatial, parts[0][:, None] + parts[1][None, :], "ripple")
+
+
 def test_iterative_envelope_cross_check():
     f = obstacle("quadratic")
     direct = envelope(f, KLASS.p_body, GRID, hessian_bound=1.0)
     iterated = iterative_envelope(f, direct.primal)
     assert np.abs(direct.primal.values - iterated.values).max() <= 1e-6
+    # 2d: the exact envelope is a fixpoint of the exact hull
+    _, f = separable_ripple(SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64)))
+    direct = envelope(f, SQUARE, moment_grid(SQUARE, 32), hessian_bound=1.0)
+    iterated = iterative_envelope(f, direct.primal)
+    assert np.abs(direct.primal.values - iterated.values).max() <= 1e-12
+
+
+def refined_primal(f, body, grid, refine):
+    """The 2d envelope primal over a slope grid refined ``refine`` times, kept as the oracle."""
+    verts = body.vertex_array
+    lo, hi = body.bounding_box()
+    axes = []
+    for i in range(grid.ndim):
+        fine = np.linspace(lo[i], hi[i], refine * grid.cells[i] + 1)
+        axes.append(np.sort(np.unique(np.concatenate([fine, verts[:, i]]))))
+    star = conjugate_nd(f.values, f.grid.axes(), axes)
+    inside = body.contains(tensor_nodes(axes)).reshape(star.shape)
+    star = np.where(inside, star, np.inf)
+    return conjugate_nd(star, axes, f.grid.axes())
+
+
+def test_2d_envelope_primal_dominates_a_refined_slope_grid():
+    spatial = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (32, 32))
+    x = spatial.nodes().reshape(spatial.shape + (2,))
+    ripple = 0.2 * np.cos(2.3 * x[..., 0] + 0.7) * np.cos(1.7 * x[..., 1] + 2.1)
+    f = SampledFunction(spatial, 0.5 * (x**2).sum(-1) + ripple, "ripple")
+    grid = moment_grid(SLANTED, 16)
+    primal = envelope(f, SLANTED, grid).primal.values
+    assert (primal >= refined_primal(f, SLANTED, grid, 64) - 1e-12).all()
+    assert (primal <= f.values + 1e-12).all()
+
+
+def test_2d_envelope_primal_of_a_separable_obstacle_is_separable():
+    spatial = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64))
+    (g1, g2), f = separable_ripple(spatial)
+    primal = envelope(f, SQUARE, moment_grid(SQUARE, 32)).primal.values
+    x1, x2 = spatial.axes()
+    exact = clamped_hull(x1, g1, 0.0, 1.0)[:, None] + clamped_hull(x2, g2, 0.0, 1.0)[None, :]
+    assert np.abs(primal - exact).max() <= 1e-12
 
 
 def test_rooftop_is_pointwise_dual_max():

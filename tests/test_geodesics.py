@@ -112,13 +112,18 @@ def test_spacetime_residual_scales_with_h():
     assert res[1] <= 0.5 * res[0]
 
 
-def test_masked_endpoints_stay_singular_without_warnings():
+def _masked_triangle_pair():
     triangle = Body([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     grid = moment_grid(triangle, 16)
     p = grid.nodes().reshape(grid.shape + (2,))
     u = DualPotential(triangle, grid, np.where(grid.mask, (p**2).sum(-1), np.inf))
     v = DualPotential(triangle, grid, np.where(grid.mask, p[..., 0] - p[..., 1], np.inf))
     assert (~grid.mask).any()
+    return grid, u, v
+
+
+def test_masked_endpoints_stay_singular_without_warnings():
+    grid, u, v = _masked_triangle_pair()
     curve = geodesic(u, v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -131,3 +136,18 @@ def test_masked_endpoints_stay_singular_without_warnings():
     finite = grid.mask
     assert ck["lipschitz_bound"] == np.abs(u.values[finite] - v.values[finite]).max()
     assert all(np.isfinite(value) for value in ck.values())
+
+
+def test_masked_velocity_is_zero_off_the_body_without_warnings():
+    grid, u, v = _masked_triangle_pair()
+    curve = geodesic(u, v)
+    on = grid.mask
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for end, sign in ((0, -1.0), (1, 1.0)):
+            vel = velocity(curve, end)
+            assert np.array_equal(vel[on], sign * (v.values[on] - u.values[on]))
+            assert (vel[~on] == 0.0).all()
+            limit, quotients, ties = velocity_spatial(
+                curve, end, (0.1, 0.05), SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16)))
+            assert np.isfinite(limit).all() and all(np.isfinite(q).all() for q in quotients)
