@@ -40,7 +40,7 @@ from .envelopes import (
     multi_rooftop,
     rooftop,
 )
-from .geodesics import GeodesicCurve, curve_checks, geodesic, velocity, velocity_spatial
+from .geodesics import GeodesicCurve, curve_checks, geodesic
 from .grids import (
     ConfigurationError,
     MomentGrid,
@@ -66,9 +66,6 @@ from .metric import (
     dp_fixed_body,
     dp_limit,
     dp_singular,
-    ma_solve_1d,
-    sup_bound_check,
-    sup_relative,
     truncate_dual,
 )
 
@@ -102,8 +99,6 @@ __all__ = [
     "GeodesicCurve",
     "curve_checks",
     "geodesic",
-    "velocity",
-    "velocity_spatial",
     "ConfigurationError",
     "MomentGrid",
     "SampledFunction",
@@ -128,9 +123,6 @@ __all__ = [
     "dp_fixed_body",
     "dp_limit",
     "dp_singular",
-    "ma_solve_1d",
-    "sup_bound_check",
-    "sup_relative",
     "truncate_dual",
     "__version__",
 ]

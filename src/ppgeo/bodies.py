@@ -51,11 +51,6 @@ class Body:
             return float(v[1, 0] - v[0, 0])
         return _shoelace(v)
 
-    def support(self, x) -> float:
-        """sup_{p in body} <p, x>; exact as a max over vertices."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.max(self.vertex_array @ x))
-
     def support_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.max(xs @ self.vertex_array.T, axis=1)
@@ -78,10 +73,6 @@ class Body:
     def bounding_box(self) -> tuple[tuple, tuple]:
         v = self.vertex_array
         return tuple(v.min(axis=0)), tuple(v.max(axis=0))
-
-    def translate(self, c) -> "Body":
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        return Body(tuple(map(tuple, self.vertex_array + c)))
 
 
 def _shoelace(v: np.ndarray) -> float:

@@ -23,8 +23,6 @@ import numpy as np
 from .bodies import Body
 from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid, tensor_nodes
 
-CONVEXITY_RTOL = 1e-10
-
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of the points (x_i, v_i), x ascending.
@@ -163,17 +161,14 @@ def gradient(values: np.ndarray, spacing: tuple) -> np.ndarray:
 
 def second_difference_slack(values: np.ndarray) -> float:
     """Most negative finite second difference (axes and diagonals), or 0."""
+    # nan marks the nodes that are not finite, so the differences that touch
+    # them come out nan without a warning and drop out
     worst = 0.0
-    for d in second_differences(values):
+    for d in second_differences(np.where(np.isfinite(values), values, np.nan)):
         d = d[np.isfinite(d)]
         if d.size:
             worst = min(worst, float(d.min()))
     return worst
-
-
-def _value_scale(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    return max(1.0, float(finite.max() - finite.min())) if finite.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -204,9 +199,6 @@ class DualPotential:
 
     def convexity_slack(self) -> float:
         return second_difference_slack(self.values)
-
-    def check_convex(self) -> bool:
-        return self.convexity_slack() >= -CONVEXITY_RTOL * _value_scale(self.values)
 
     def eval_primal(self, points: np.ndarray) -> np.ndarray:
         """u(x) = max over finite moment nodes of (<p,x> - u*(p)), points shaped (M, ndim).

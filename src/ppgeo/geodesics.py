@@ -16,15 +16,6 @@ from .grids import ConfigurationError, SpatialGrid
 
 # the times at which curve_checks samples the primal curve
 T_SAMPLES = np.linspace(0.0, 1.0, 17)
-# velocity_spatial: a dual maximizer set spanning more than this many cells
-# is a tie, and quotients may decrease in t by this much relative to the
-# largest dual difference before convexity counts as violated
-TIE_CELLS = 3
-QUOTIENT_RTOL = 1e-9
-
-
-class ConvexityViolationError(ValueError):
-    """Difference quotients failed to be monotone in t."""
 
 
 @dataclass(frozen=True)
@@ -62,13 +53,6 @@ class GeodesicCurve:
         both = np.isposinf(self.u0.values) & np.isposinf(self.u1.values)
         return np.where(both, 0.0, self.u1.values) - np.where(both, 0.0, self.u0.values)
 
-    def subcurve(self, t: float) -> "GeodesicCurve":
-        """The geodesic from u0 to u_t (dual-affinity makes this exact)."""
-        return GeodesicCurve(self.u0, self.potential_at(t))
-
-    def reversed(self) -> "GeodesicCurve":
-        return GeodesicCurve(self.u1, self.u0)
-
 
 def _weigh(w: float, values: np.ndarray) -> np.ndarray:
     """w * values, where a zero weight also zeroes the +inf nodes."""
@@ -78,73 +62,6 @@ def _weigh(w: float, values: np.ndarray) -> np.ndarray:
 def geodesic(u0: DualPotential, u1: DualPotential) -> GeodesicCurve:
     """Weak geodesic between two finite-dual potentials."""
     return GeodesicCurve(u0, u1)
-
-
-def velocity(curve: GeodesicCurve, end: int = 0) -> np.ndarray:
-    """Velocity transported to the dual cells; sign per endpoint convention.
-
-    The raw dual difference d* = u1* - u0* is the t-derivative of the dual
-    interpolation; at end 0 the primal velocity at the cell's gradient image
-    is -d*, at end 1 it is +d* with the roles of the measures exchanged.
-    The d_p integrands use |d*| and need no sign.
-    """
-    if end not in (0, 1):
-        raise ConfigurationError("end must be 0 or 1")
-    d = curve.dual_difference()
-    return -d if end == 0 else d
-
-
-def velocity_spatial(curve: GeodesicCurve, end: int, t_steps, grid: SpatialGrid):
-    """Difference quotients of the primal curve at small t, with tie report.
-
-    Returns (limit, quotients, tie_mask).  Quotients must be monotone
-    nondecreasing as t grows (convexity in t); the returned limit is the
-    quotient at the smallest step.  Nodes whose dual maximizer set spans
-    more than ``TIE_CELLS`` grid cells are flagged: the spatial velocity is
-    set-valued there and only the dual-cell velocity is meaningful.
-    """
-    t_steps = sorted(float(t) for t in t_steps)
-    if not t_steps or t_steps[0] <= 0 or t_steps[-1] >= 1:
-        raise ConfigurationError("t_steps must lie strictly inside (0, 1)")
-    base = curve.reversed() if end == 1 else curve
-    p0 = base.primal_at(0.0, grid)
-    d = np.abs(base.dual_difference())
-    scale = max(1.0, float(d[np.isfinite(d)].max(initial=0.0)))
-    quotients = []
-    for t in t_steps:
-        quotients.append((base.primal_at(t, grid) - p0) / t)
-    for q_small, q_big in zip(quotients, quotients[1:]):
-        worst = float((q_big - q_small).min())
-        if worst < -QUOTIENT_RTOL * scale:
-            raise ConvexityViolationError(
-                f"difference quotients decrease in t by {-worst:.3e}"
-            )
-    tie_mask = _tie_nodes(base.u0, grid)
-    return quotients[0], quotients, tie_mask
-
-
-def _tie_nodes(u: DualPotential, grid: SpatialGrid) -> np.ndarray:
-    """Nodes where the dual argmax set spans more than ``TIE_CELLS`` cells."""
-    nodes = u.grid.nodes()
-    vals = u.values.ravel()
-    finite = np.isfinite(vals)
-    nodes_f, vals_f = nodes[finite], vals[finite]
-    pts = grid.nodes()
-    h = min(u.grid.spacing)
-    tol = 1e-9 * max(1.0, float(np.abs(vals_f).max()))
-    out = np.zeros(pts.shape[0], dtype=bool)
-    step = max(1, 2**22 // max(1, nodes_f.shape[0]))
-    for s in range(0, pts.shape[0], step):
-        block = pts[s : s + step] @ nodes_f.T - vals_f[None, :]
-        top = block.max(axis=1, keepdims=True)
-        near = block >= top - tol
-        # spread of the maximizer set, measured in grid cells
-        for axis in range(u.grid.ndim):
-            coord = nodes_f[:, axis]
-            lo = np.where(near, coord[None, :], np.inf).min(axis=1)
-            hi = np.where(near, coord[None, :], -np.inf).max(axis=1)
-            out[s : s + step] |= (hi - lo) > TIE_CELLS * u.grid.spacing[axis]
-    return out.reshape(grid.shape)
 
 
 def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body, EpsilonFamily
-from .duality import (
-    DualPotential,
-    PrimalPotential,
-    convexify_moment_values,
-    to_dual,
-)
+from .duality import DualPotential, convexify_moment_values
 from .envelopes import envelope_dual, rooftop
 from .grids import (
     ConfigurationError,
@@ -42,8 +37,6 @@ FORMAT_VERSION = 1
 CSV_HEADER = ["route", "p", "epsilon", "V_eps", "d_p_eps", "extrapolated", "residual"]
 # the increasing truncation caps of the singular route
 SINGULAR_CAPS = (2.0, 4.0, 8.0, 16.0, 32.0)
-# relative mismatch allowed between a density's mass and the body volume
-SOLVE_MASS_TOL = 0.02
 
 
 def sig12(x):
@@ -268,90 +261,3 @@ def dp_singular(u0: DualPotential, u1: DualPotential, p: float) -> DistanceRepor
     }
     return report
 
-
-def ma_solve_1d(dv: SampledFunction, body: Body) -> tuple[DualPotential, PrimalPotential]:
-    """Potential with prescribed measure dv (n=1): gradient = shifted CDF.
-
-    Returns the dual over the body and the primal normalized so that
-    sup (phi - V) = 0 over the spatial grid.
-    """
-    grid = dv.grid
-    if not isinstance(grid, SpatialGrid) or grid.ndim != 1:
-        raise ConfigurationError("ma_solve_1d needs a 1d spatial density")
-    if (dv.values < 0).any():
-        raise ConfigurationError("density must be nonnegative")
-    x = grid.axes()[0]
-    h = grid.spacing[0]
-    # cumulative mass by the trapezoid rule, rescaled to land exactly on vol
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dv.values[1:] + dv.values[:-1]) * h)])
-    mass = float(cdf[-1])
-    vol = body.volume()
-    if abs(mass - vol) > SOLVE_MASS_TOL * max(1.0, vol):
-        raise ConfigurationError(
-            f"density mass {mass} does not match the body volume {vol}"
-        )
-    lo = body.vertex_array[0, 0]
-    cdf *= vol / cdf[-1]
-    slope = lo + cdf
-    phi = np.concatenate([[0.0], np.cumsum(0.5 * (slope[1:] + slope[:-1]) * h)])
-    support = body.support_many(x[:, None])
-    phi -= float((phi - support).max())
-    primal = PrimalPotential(grid, phi, body=body, provenance="ma_solve_1d")
-    mgrid = moment_grid(body, grid.cells[0])
-    return to_dual(primal, mgrid), primal
-
-
-def sup_relative(u: DualPotential, grid: SpatialGrid) -> float:
-    """Model sup of u: max over the box of (u - V), V the support function."""
-    pts = grid.nodes()
-    return float((u.eval_primal(pts) - u.body.support_many(pts)).max())
-
-
-def sup_bound_check(corpus: list[DualPotential], p: float, phi: DualPotential,
-                    grid: SpatialGrid, holdout: list[DualPotential] = ()) -> dict:
-    """Fit the smallest affine bound |sup u| <= C1 + C2 d_p(u, phi)."""
-    pts = [(abs(sup_relative(u, grid)), dp_endpoint(u, phi, p)) for u in corpus]
-    sups = np.array([s for s, _ in pts])
-    dists = np.array([d for _, d in pts])
-    if len(pts) >= 2 and np.ptp(dists) > 1e-12:
-        coeffs, _ = _affine_fit(dists, sups)
-        c1, c2 = float(coeffs[0]), max(0.0, float(coeffs[1]))
-    else:
-        c1, c2 = float(sups.max()), 0.0
-    # inflate the offset so the bound covers every corpus point
-    c1 += float(np.max(sups - (c1 + c2 * dists), initial=0.0))
-    held = [
-        (abs(sup_relative(u, grid)), dp_endpoint(u, phi, p)) for u in holdout
-    ]
-    held_ok = all(s <= c1 + c2 * d + 1e-9 for s, d in held)
-    return {
-        "C1": c1,
-        "C2": c2,
-        "points": pts,
-        "holdout_points": held,
-        "holdout_satisfied": held_ok,
-    }
-
-
-def translate_dual(u: DualPotential, c, b: float = 0.0) -> DualPotential:
-    """The dual of u + <c,x> + b: node p+c carries u*(p) - b."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    g = u.grid
-    lo = tuple(l + cc for l, cc in zip(g.lo, c))
-    hi = tuple(h + cc for h, cc in zip(g.hi, c))
-    grid = MomentGrid(lo, hi, g.cells, g.mask, g.weights)
-    return DualPotential(u.body.translate(c), grid, u.values - b,
-                         provenance=u.provenance)
-
-
-def affine_invariance_check(u0: DualPotential, u1: DualPotential, c, b: float,
-                            p: float) -> dict:
-    """d_p before vs after a common affine shift of both potentials."""
-    base = dp_endpoint(u0, u1, p)
-    shifted = dp_endpoint(translate_dual(u0, c, b), translate_dual(u1, c, b), p)
-    denom = max(base, 1e-15)
-    return {
-        "d_p": base,
-        "d_p_shifted": shifted,
-        "relative_deviation": abs(base - shifted) / denom,
-    }

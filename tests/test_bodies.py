@@ -20,8 +20,7 @@ def square():
 def test_interval_volume_and_support():
     b = Body([[-0.5], [2.0]])
     assert b.volume() == pytest.approx(2.5)
-    assert b.support([3.0]) == pytest.approx(6.0)
-    assert b.support([-1.0]) == pytest.approx(0.5)
+    assert b.support_many([[3.0], [-1.0]]) == pytest.approx([6.0, 0.5])
 
 
 def test_polygon_orientation_enforced(square):

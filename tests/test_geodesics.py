@@ -13,8 +13,6 @@ from ppgeo import (
     geodesic,
     moment_grid,
     pair_from_catalog,
-    velocity,
-    velocity_spatial,
 )
 from ppgeo.corpus import random_dual_pairs
 
@@ -32,8 +30,7 @@ def test_endpoints_are_exact():
 
 def test_reversal_is_bitwise():
     u, v = pair_from_catalog("cusp_pair", KLASS.p_body, GRID)
-    c = geodesic(u, v)
-    r = c.reversed()
+    c, r = geodesic(u, v), geodesic(v, u)
     for t in (0.0, 0.25, 0.5, 1.0):
         assert np.array_equal(c.dual_at(t), r.dual_at(1.0 - t))
 
@@ -41,7 +38,7 @@ def test_reversal_is_bitwise():
 def test_restriction_is_a_geodesic():
     u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
     c = geodesic(u, v)
-    sub = c.subcurve(0.5)
+    sub = geodesic(u, c.potential_at(0.5))
     assert np.allclose(sub.dual_at(1.0), c.dual_at(0.5), atol=1e-15)
     assert np.allclose(sub.dual_at(0.5), c.dual_at(0.25), atol=1e-15)
 
@@ -72,24 +69,7 @@ def test_crossing_pair_midpoint_value():
 def test_velocity_is_dual_difference():
     u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
     c = geodesic(u, v)
-    assert np.array_equal(velocity(c, 0), -(v.values - u.values))
-    assert np.array_equal(velocity(c, 1), v.values - u.values)
-
-
-def test_velocity_spatial_difference_quotients():
-    u = dual_from_form("dual_zero", KLASS.p_body, GRID)
-    v = dual_from_form("dual_ramp", KLASS.p_body, GRID)
-    c = geodesic(u, v)
-    limit, quotients, ties = velocity_spatial(
-        c, 0, (0.1, 0.05, 0.025), SPATIAL
-    )
-    x = SPATIAL.axes()[0]
-    # d/dt max(0, x - t) at t=0+ is -1 for x > 0, 0 for x < 0
-    interior = (x > 0.5) & (x < 4.0) & ~ties
-    # slope quantization caps the slope at 1 - h/2 instead of 1
-    assert np.abs(limit[interior] + 1.0).max() <= max(GRID.spacing)
-    left = (x < -0.5) & ~ties
-    assert np.abs(limit[left]).max() <= max(GRID.spacing)
+    assert np.array_equal(c.dual_difference(), v.values - u.values)
 
 
 def test_curve_checks_on_corpus():
@@ -144,10 +124,6 @@ def test_masked_velocity_is_zero_off_the_body_without_warnings():
     on = grid.mask
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for end, sign in ((0, -1.0), (1, 1.0)):
-            vel = velocity(curve, end)
-            assert np.array_equal(vel[on], sign * (v.values[on] - u.values[on]))
-            assert (vel[~on] == 0.0).all()
-            limit, quotients, ties = velocity_spatial(
-                curve, end, (0.1, 0.05), SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16)))
-            assert np.isfinite(limit).all() and all(np.isfinite(q).all() for q in quotients)
+        vel = curve.dual_difference()
+    assert np.array_equal(vel[on], v.values[on] - u.values[on])
+    assert (vel[~on] == 0.0).all()

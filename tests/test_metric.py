@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppgeo.envelopes
 import ppgeo.metric
@@ -20,22 +22,17 @@ from ppgeo import (
     dual_from_form,
     envelope,
     epsilon_family,
-    ma_density,
-    ma_solve_1d,
+    geodesic,
+    ma_atomic,
     moment_grid,
     pair_from_catalog,
+    rooftop,
     to_primal,
     truncate_dual,
 )
 from ppgeo.corpus import random_dual_pairs, sample_closed_form
 from ppgeo.measures import RequiresTruncationError
-from ppgeo.metric import (
-    CSV_HEADER,
-    affine_invariance_check,
-    sup_bound_check,
-    sup_relative,
-    translate_dual,
-)
+from ppgeo.metric import CSV_HEADER
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -141,44 +138,6 @@ def test_truncation_is_monotone():
     assert (t8.values[finite] <= v.values[finite] + 1e-12).all()
 
 
-def test_ma_solve_recovers_quadratic_potential():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
-    target = ma_density(to_primal(u, SPATIAL))
-    dv = SampledFunction(SPATIAL, target.density, "target")
-    _, primal = ma_solve_1d(dv, KLASS.p_body)
-    ref = to_primal(u, SPATIAL).values
-    ref = ref - (ref - KLASS.p_body.support_many(SPATIAL.nodes())).max()
-    assert np.abs(primal.values - ref).max() <= 0.02
-
-
-def test_sup_normalization_after_solve():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
-    dv = SampledFunction(SPATIAL, ma_density(to_primal(u, SPATIAL)).density, "t")
-    dual, _ = ma_solve_1d(dv, KLASS.p_body)
-    assert sup_relative(dual, SPATIAL) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_translate_dual_is_exact_isometry():
-    u, v = random_dual_pairs(3, 1, KLASS.p_body, GRID)[0]
-    report = affine_invariance_check(u, v, c=0.0, b=0.37, p=2.0)
-    assert report["relative_deviation"] <= 1e-12
-
-
-def test_translate_dual_shifts_body():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
-    t = translate_dual(u, c=0.25, b=0.0)
-    coords = sorted(v[0] for v in t.body.vertices)
-    assert coords == [0.25, 1.25]
-
-
-def test_sup_bound_from_distance():
-    pool = [w for pr in random_dual_pairs(9, 8, KLASS.p_body, GRID) for w in pr]
-    phi = dual_from_form("dual_zero", KLASS.p_body, GRID)
-    report = sup_bound_check(pool[:-4], 1.0, phi, SPATIAL, holdout=pool[-4:])
-    assert report["holdout_satisfied"]
-    assert np.isfinite(report["C1"]) and np.isfinite(report["C2"])
-
-
 def test_report_serialization():
     f = SampledFunction(SPATIAL, sample_closed_form("quadratic", SPATIAL), "quadratic")
     g = SampledFunction(SPATIAL, sample_closed_form("soft_ramp", SPATIAL), "soft_ramp")
@@ -268,3 +227,45 @@ def test_limit_matches_full_envelopes_2d():
     f0 = SampledFunction(sp, 0.5 * (x**2 + y**2), "round")
     f1 = SampledFunction(sp, 0.5 * ((x - 0.3) ** 2 + 2 * y**2), "shifted")
     _assert_limit_matches_full_envelopes(f0, f1, epsilon_family(klass, 16), 2.0)
+
+
+def _random_triangle_pair(seed):
+    """A triangle inside the unit square, its 16-24 cell moment grid and two max-of-affine duals."""
+    rng = np.random.default_rng(seed)
+    area = 0.0
+    while abs(area) < 0.05:  # a sliver may hold no cell centre
+        v = rng.random((3, 2))
+        e1, e2 = v[1] - v[0], v[2] - v[0]
+        area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    body = Body(v if area > 0 else v[::-1])
+    grid = moment_grid(body, int(rng.integers(16, 25)))
+
+    def dual():
+        k = int(rng.integers(2, 6))
+        vals = (grid.nodes() @ rng.uniform(-2.0, 3.0, (k, 2)).T + rng.uniform(-1.0, 1.0, k)).max(axis=1)
+        return DualPotential(body, grid, np.where(grid.mask, vals.reshape(grid.shape), np.inf))
+
+    return grid, dual(), dual()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.0, 4.0),
+       t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
+def test_2d_metric_identities_on_random_triangles(seed, p, t, s):
+    _, u, v = _random_triangle_pair(seed)
+    d = dp_endpoint(u, v, p)
+    assert d == pytest.approx(dp_dual_oracle(u, v, p), rel=1e-9)
+    roof = rooftop(u, v)
+    rhs = dp_endpoint(u, roof, p) ** p + dp_endpoint(v, roof, p) ** p
+    assert abs(d**p - rhs) <= 1e-9 * max(1.0, d**p)
+    curve = geodesic(u, v)
+    speed = dp_endpoint(curve.potential_at(t), curve.potential_at(s), p)
+    assert speed == pytest.approx(abs(t - s) * d, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="ma_atomic drops the weight of a cell with no "
+                                       "finite neighbour along an axis (nan gradient)")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_2d_mass_is_the_triangle_weight(seed):
+    grid, u, _ = _random_triangle_pair(seed)
+    assert ma_atomic(u).total_mass == pytest.approx(grid.weights.sum(), rel=1e-12, abs=1e-12)
