@@ -37,7 +37,6 @@ from .envelopes import (
     EnvelopeRecord,
     envelope,
     measure_identity_residual,
-    multi_rooftop,
     rooftop,
 )
 from .geodesics import GeodesicCurve, curve_checks, geodesic
@@ -94,7 +93,6 @@ __all__ = [
     "EnvelopeRecord",
     "envelope",
     "measure_identity_residual",
-    "multi_rooftop",
     "rooftop",
     "GeodesicCurve",
     "curve_checks",

@@ -171,9 +171,7 @@ class Experiment:
     def resolve_pair(self):
         spec = self.cfg["pair"]
         if isinstance(spec, str):
-            if spec in PAIR_CATALOG:
-                return pair_from_catalog(spec, self.klass.p_body, self.grid)
-            raise ConfigurationError(f"unknown bundled pair {spec!r}")
+            return pair_from_catalog(spec, self.klass.p_body, self.grid)
         if isinstance(spec, dict):
             k = spec["seed_index"]
             pairs = random_dual_pairs(self.seed, k + 1, self.klass.p_body, self.grid)
@@ -228,12 +226,10 @@ def cmd_distance(exp: Experiment, args) -> int:
             value = dp_endpoint(u0, u1, exp.p)
         elif route == "oracle":
             value = dp_dual_oracle(u0, u1, exp.p)
-        elif route == "energy":
+        else:  # "energy"; argparse rejects any other route
             if exp.p != 1.0:
                 raise ConfigurationError("the energy route computes d_1 only")
             value = d1_energy(u0, u1, exp.spatial)
-        else:
-            raise ConfigurationError(f"unknown route {route!r}")
         report = DistanceReport(p=exp.p, value=value, route=route)
     text = report.to_csv() if (args.out or "").endswith(".csv") else _dump(report.to_dict())
     _write(text, args.out)
@@ -286,7 +282,7 @@ def cmd_ma(exp: Experiment, args) -> int:
         "class_volume": exp.klass.volume,
         "atom_count": int(atoms.masses.size),
     }
-    if not u.is_singular:
+    if u.has_minimal_singularities:
         field = ma_density(to_primal(u, exp.spatial))
         payload["density_sup"] = float(field.density.max())
         payload["density_total"] = field.total

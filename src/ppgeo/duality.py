@@ -173,7 +173,7 @@ def second_difference_slack(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DualPotential:
-    """A potential represented by its Legendre dual on a moment grid."""
+    """A potential represented by its Legendre dual on a moment grid, +inf off ``grid.mask``."""
 
     body: Body
     grid: MomentGrid
@@ -184,17 +184,14 @@ class DualPotential:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ConfigurationError("dual values do not match the moment grid")
+        values = np.where(self.grid.mask, values, np.inf)
         if not np.isfinite(values).any():
             raise ConfigurationError("dual potential needs at least one finite node")
         object.__setattr__(self, "values", values)
 
     @property
-    def is_singular(self) -> bool:
-        """True when some node carries +inf (non-minimal singularities)."""
-        return bool(np.isposinf(self.values).any())
-
-    @property
     def has_minimal_singularities(self) -> bool:
+        """True when the dual is finite on the body's cells."""
         return bool(np.isfinite(self.values[self.grid.mask]).all())
 
     def convexity_slack(self) -> float:
@@ -287,8 +284,6 @@ def clamped_hull(x: np.ndarray, values: np.ndarray,
 
 def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
     """Largest grid-convex function below f (lower convex hull); idempotent."""
-    if not isinstance(f.grid, SpatialGrid):
-        raise ConfigurationError("convexify expects a spatial sampled function")
     vals = convexify_moment_values(f.grid, f.values)
     return PrimalPotential(f.grid, vals, body=body, provenance=f.provenance)
 

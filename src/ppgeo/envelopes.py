@@ -27,7 +27,7 @@ from .duality import (
     max_affine,
     second_differences,
 )
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
+from .grids import ConfigurationError, MomentGrid, SampledFunction
 from .measures import hessian_density, ma_density
 
 
@@ -76,14 +76,10 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
 
 def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPotential:
     """The envelope's dual: f* on the body's moment cells, +inf elsewhere."""
-    if not isinstance(f.grid, SpatialGrid):
-        raise ConfigurationError("the obstacle must live on a spatial grid")
-    if f.has_infinite:
-        raise ConfigurationError("the obstacle must be finite")
     if f.grid.ndim != grid.ndim:
         raise ConfigurationError("the obstacle and the moment grid differ in dimension")
     star = conjugate_nd(f.values, f.grid.axes(), grid.axes())
-    return DualPotential(body, grid, np.where(grid.mask, star, np.inf), provenance=f.provenance)
+    return DualPotential(body, grid, star, provenance=f.provenance)
 
 
 def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid) -> np.ndarray:
@@ -119,22 +115,12 @@ def iterative_envelope(f: SampledFunction, start: PrimalPotential) -> PrimalPote
     return convexify(low, body=start.body)
 
 
-def rooftop(u: DualPotential, v: DualPotential) -> DualPotential:
-    """Largest potential below both: dual values are the pointwise max."""
-    if u.grid != v.grid:
+def rooftop(u: DualPotential, *others: DualPotential) -> DualPotential:
+    """Largest potential below all of the inputs: dual values are the pointwise max."""
+    if any(v.grid != u.grid for v in others):
         raise ConfigurationError("rooftop needs a common moment grid")
-    return DualPotential(u.body, u.grid, np.maximum(u.values, v.values),
-                         provenance="rooftop")
-
-
-def multi_rooftop(potentials: list[DualPotential]) -> DualPotential:
-    """Largest potential below all of the inputs (pointwise max of duals)."""
-    if not potentials:
-        raise ConfigurationError("multi_rooftop needs a nonempty list")
-    out = potentials[0]
-    for q in potentials[1:]:
-        out = rooftop(out, q)
-    return out
+    values = np.maximum.reduce([u.values] + [v.values for v in others])
+    return DualPotential(u.body, u.grid, values, provenance="rooftop")
 
 
 def measure_identity_residual(rec: EnvelopeRecord) -> float:

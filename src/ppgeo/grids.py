@@ -3,8 +3,8 @@
 Everything downstream works on two kinds of grids: a spatial grid (lattice
 nodes of a box, endpoints included) carrying primal potentials, and a moment
 grid (cell centers of the bounding box of a convex body) carrying Legendre
-duals.  Values may be +inf only on moment grids; +inf is a dedicated
-sentinel and every operation branches on it explicitly.
+duals.  A ``SampledFunction`` is finite; a dual is +inf off its body's cells,
+a dedicated sentinel that every operation branches on explicitly.
 """
 from __future__ import annotations
 
@@ -137,27 +137,20 @@ def moment_grid(body, cells) -> MomentGrid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Node values on a grid; +inf is allowed only on moment grids."""
+    """Finite node values on a spatial grid."""
 
-    grid: object  # SpatialGrid | MomentGrid
+    grid: SpatialGrid
     values: np.ndarray = field(compare=False)
     provenance: str = "derived"
 
     def __post_init__(self):
+        if not isinstance(self.grid, SpatialGrid):
+            raise ConfigurationError("sampled functions live on a spatial grid")
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ConfigurationError(
                 f"value shape {values.shape} does not match grid shape {self.grid.shape}"
             )
-        if np.isneginf(values).any() or np.isnan(values).any():
-            raise ConfigurationError("values must be real or +inf")
-        if np.isposinf(values).any() and isinstance(self.grid, SpatialGrid):
-            raise ConfigurationError("+inf values are only allowed on moment grids")
-        if not np.isfinite(values).any():
-            raise ConfigurationError("need at least one finite value")
+        if not np.isfinite(values).all():
+            raise ConfigurationError("sampled values must be finite")
         object.__setattr__(self, "values", values)
-
-    @property
-    def has_infinite(self) -> bool:
-        return bool(np.isposinf(self.values).any())
-

@@ -14,7 +14,7 @@ import numpy as np
 from .bodies import ClassBody, EpsilonFamily, default_class_body, epsilon_family
 from .corpus import CLOSED_FORMS, dual_from_form, random_dual_pairs, sample_closed_form
 from .duality import DualPotential, convexify_moment_values
-from .envelopes import envelope, envelope_dual, multi_rooftop, rooftop
+from .envelopes import envelope, envelope_dual, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
 from .measures import i_p, ma_density
@@ -201,7 +201,7 @@ def check_completeness(lab: Lab, p: float, kind: str = "monotone") -> TheoremRep
     for j in range(j_max + 1):
         prev = None
         for k in range(1, k_max + 1):
-            v_jk = multi_rooftop(seq[j : j + k + 1])
+            v_jk = rooftop(*seq[j : j + k + 1])
             d = dp_endpoint(seq[j], v_jk, p)
             slacks.append(max(0.0, d - 2.0 ** (1 - j) * 1.0) / 2.0 ** (1 - j))
             if prev is not None:
@@ -210,7 +210,7 @@ def check_completeness(lab: Lab, p: float, kind: str = "monotone") -> TheoremRep
                     monotone_violation, float((prev - v_jk.values).max())
                 )
             prev = v_jk.values
-        limit_distances.append(dp_endpoint(seq[j], multi_rooftop(seq[j:]), p))
+        limit_distances.append(dp_endpoint(seq[j], rooftop(*seq[j:]), p))
     return TheoremReport(
         suite="completeness",
         description="rooftop construction along a synthetic Cauchy sequence",

@@ -56,27 +56,47 @@ class DensityField:
         return float(self.density.sum() * np.prod(self.grid.spacing))
 
 
+def require_minimal_singularities(u: DualPotential) -> None:
+    """The dual must be finite on its body; singular inputs go through truncation."""
+    if not u.has_minimal_singularities:
+        raise RequiresTruncationError("singular dual: truncate first (dp_singular)")
+
+
 def ma_atomic(u: DualPotential) -> AtomicMeasure:
-    """Pushforward of the moment-grid weights under the dual gradient."""
+    """Pushforward of the moment-grid weights under the dual gradient.
+
+    A finite node with no finite neighbour along an axis (a tip of a polygon's
+    cells) takes that component as the mean over its neighbours that have one,
+    repeated until nothing changes, so no finite cell loses its weight.
+    """
+    shape, n = u.grid.shape, u.grid.ndim
+    g = gradient(u.values, u.grid.spacing)
+    while (todo := np.isfinite(u.values)[..., None] & np.isnan(g)).any():
+        padded = np.pad(g, [(1, 1)] * n + [(0, 0)], constant_values=np.nan)
+        near = np.stack([padded[tuple(slice(1 + k, 1 + k + m) for k, m in zip(s, shape))]
+                         for s in itertools.product((-1, 0, 1), repeat=n) if any(s)])
+        count = np.sum(~np.isnan(near), axis=0)
+        if not (fill := todo & (count > 0)).any():
+            break
+        g[fill] = np.nansum(near, axis=0)[fill] / count[fill]
     w = u.grid.weights.ravel()
-    g = gradient(u.values, u.grid.spacing).reshape(-1, u.grid.ndim)
+    g = g.reshape(-1, n)
     keep = (w > 0) & np.isfinite(g).all(axis=1)
     return AtomicMeasure(g[keep], w[keep], provenance=u.provenance)
 
 
 def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Discrete Hessian determinant at the interior nodes, unclamped; 0 on the border."""
-    v = values
-    rho = np.zeros_like(v)
-    inner = (slice(1, -1),) * v.ndim
-    pure = [d / (h * h) for d, h in
-            zip(itertools.islice(second_differences(v), v.ndim), grid.spacing)]
-    if v.ndim == 1:
+    rho = np.zeros_like(values)
+    inner = (slice(1, -1),) * values.ndim
+    d = list(second_differences(values))
+    pure = [dk / (h * h) for dk, h in zip(d, grid.spacing)]
+    if values.ndim == 1:
         rho[inner] = pure[0]
     else:
         hx, hy = grid.spacing
-        # the mixed derivative keeps its own four-corner stencil
-        vxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
+        # v_xy from the two diagonals: d_(1,1) - d_(1,-1) is the four-corner stencil
+        vxy = (d[2] - d[3]) / (4 * hx * hy)
         rho[inner] = pure[0][:, 1:-1] * pure[1][1:-1, :] - vxy * vxy
     return rho
 
@@ -133,8 +153,7 @@ def energy(u: DualPotential, spatial_grid: SpatialGrid | None = None) -> float:
     2d: the middle term integrates against the mixed measure, needing a
     spatial grid for the polarization route.
     """
-    if u.is_singular:
-        raise RequiresTruncationError("energy needs a finite dual; truncate first")
+    require_minimal_singularities(u)
     body = u.body
     vol = body.volume()
     vzero = DualPotential(body, u.grid, np.zeros(u.grid.shape), provenance="minimal")

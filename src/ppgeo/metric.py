@@ -31,7 +31,7 @@ from .grids import (
     check_p,
     moment_grid,
 )
-from .measures import RequiresTruncationError, energy, i_p
+from .measures import energy, i_p, require_minimal_singularities
 
 FORMAT_VERSION = 1
 CSV_HEADER = ["route", "p", "epsilon", "V_eps", "d_p_eps", "extrapolated", "residual"]
@@ -95,25 +95,18 @@ class DistanceReport:
         return buf.getvalue()
 
 
-def _require_finite(u: DualPotential):
-    if not u.has_minimal_singularities:
-        raise RequiresTruncationError(
-            "singular dual: use the truncation route (dp_singular)"
-        )
-
-
 def dp_endpoint(u0: DualPotential, u1: DualPotential, p: float) -> float:
     """((1/vol) sum_{w_j > 0} w_j |u1*(p_j) - u0*(p_j)|^p)^(1/p) on dual cells.
 
     The t=0 form (against MA(u0)) and the t=1 form (against MA(u1)) are
     the same sum over the positive-weight cells, so it is computed once;
-    cells of zero weight, where a polygon's envelope dual is +inf, never
-    enter it.  ``dp_dual_oracle`` is the independent check.
+    cells of zero weight, where a polygon's dual is +inf, never enter it.
+    ``dp_dual_oracle`` is the independent check.
     """
     if u0.grid != u1.grid:
         raise ConfigurationError("dp_endpoint needs a common moment grid")
-    _require_finite(u0)
-    _require_finite(u1)
+    require_minimal_singularities(u0)
+    require_minimal_singularities(u1)
     check_p(p)
     vol = u0.body.volume()
     w = u0.grid.weights
@@ -201,8 +194,6 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 def d1_energy(u0: DualPotential, u1: DualPotential,
               spatial_grid: SpatialGrid | None = None) -> float:
     """d_1 via the energy: E(u0) + E(u1) - 2 E(rooftop(u0, u1))."""
-    _require_finite(u0)
-    _require_finite(u1)
     roof = rooftop(u0, u1)
     return float(
         energy(u0, spatial_grid) + energy(u1, spatial_grid) - 2.0 * energy(roof, spatial_grid)

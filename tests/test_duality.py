@@ -278,7 +278,7 @@ def _max_of_quadratic_and_affine(body, rng):
     p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
     a, b, c = rng.normal(size=3)
     vals = np.maximum(0.5 * (p1**2 + 2 * p2**2), a * p1 + b * p2 + c)
-    return DualPotential(body, grid, np.where(grid.mask, vals, np.inf), "2d")
+    return DualPotential(body, grid, vals, "2d")
 
 
 @pytest.mark.parametrize(
@@ -381,13 +381,24 @@ def test_2d_truncation_is_the_exact_hull_of_the_capped_barrier(body, cap):
     assert np.isposinf(out[~on]).all()
 
 
+def test_a_dual_is_infinite_off_its_body():
+    body = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
+    grid = moment_grid(body, 32)
+    u = DualPotential(body, grid, np.zeros(grid.shape), "zero")
+    assert (~grid.mask).any()
+    assert np.isposinf(u.values[~grid.mask]).all()
+    assert (u.values[grid.mask] == 0.0).all() and u.has_minimal_singularities
+    # the support of the body's cells (the triangle's is 1.3), not of the bounding square (1.96875)
+    assert u.eval_primal(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.28125, abs=1e-12)
+
+
 def test_2d_to_primal_skips_grid_lines_outside_the_body():
     # at 64 cells no cell centre of the top row (p2 near 1) lies in this triangle
     body = Body([(0.0, 0.0), (1.0, 0.3), (0.2, 1.0)])
     grid = moment_grid(body, 64)
     assert not grid.mask[:, -1].any()
     p1, p2 = np.meshgrid(*grid.axes(), indexing="ij")
-    u = DualPotential(body, grid, np.where(grid.mask, p1**2 + p2**2 - p1 * p2, np.inf), "skew")
+    u = DualPotential(body, grid, p1**2 + p2**2 - p1 * p2, "skew")
     sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
     assert np.abs(to_primal(u, sp).values.ravel() - u.eval_primal(sp.nodes())).max() <= 1e-12
 
@@ -437,7 +448,7 @@ def _holed_dual(body, grid, rng):
                     rng.choice([-1.0, -0.0, 0.0, 1.0], grid.shape))
     vals[rng.random(grid.shape) < 0.1] = np.nan
     vals[rng.random(grid.shape) < 0.2] = np.inf
-    return DualPotential(body, grid, np.where(grid.mask, vals, np.inf), "holed")
+    return DualPotential(body, grid, vals, "holed")
 
 
 @pytest.mark.parametrize("body", [BODY, SQUARE, TRIANGLE], ids=["1d", "square", "triangle"])

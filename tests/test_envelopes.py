@@ -16,7 +16,6 @@ from ppgeo import (
     measure_identity_residual,
     minkowski_sum,
     moment_grid,
-    multi_rooftop,
     rooftop,
 )
 from ppgeo.corpus import sample_closed_form
@@ -170,7 +169,7 @@ def test_rooftop_commutes_with_envelope_of_min():
 def test_multi_rooftop_associative():
     forms = ["dual_zero", "dual_quadratic", "dual_vee"]
     us = [dual_from_form(f, KLASS.p_body, GRID) for f in forms]
-    a = multi_rooftop(us)
+    a = rooftop(*us)
     b = rooftop(rooftop(us[0], us[1]), us[2])
     assert np.array_equal(a.values, b.values)
 

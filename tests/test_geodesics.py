@@ -96,8 +96,8 @@ def _masked_triangle_pair():
     triangle = Body([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     grid = moment_grid(triangle, 16)
     p = grid.nodes().reshape(grid.shape + (2,))
-    u = DualPotential(triangle, grid, np.where(grid.mask, (p**2).sum(-1), np.inf))
-    v = DualPotential(triangle, grid, np.where(grid.mask, p[..., 0] - p[..., 1], np.inf))
+    u = DualPotential(triangle, grid, (p**2).sum(-1))
+    v = DualPotential(triangle, grid, p[..., 0] - p[..., 1])
     assert (~grid.mask).any()
     return grid, u, v
 
@@ -110,7 +110,7 @@ def test_masked_endpoints_stay_singular_without_warnings():
         for t, end in ((0.0, u), (1.0, v)):
             mid = curve.potential_at(t)
             assert np.array_equal(mid.values, end.values)
-            assert mid.is_singular
+            assert np.isposinf(mid.values[~grid.mask]).all()
         assert np.isinf(curve.dual_at(0.5)[~grid.mask]).all()
         ck = curve_checks(curve, SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16)))
     finite = grid.mask

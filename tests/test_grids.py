@@ -49,3 +49,12 @@ def test_sampled_function_rejects_inf_on_spatial_grid():
     with pytest.raises(ConfigurationError):
         SampledFunction(g, vals)
 
+
+@pytest.mark.parametrize("spatial,value", [(False, 0.0), (False, np.inf), (True, np.nan)],
+                         ids=["moment_grid", "moment_grid_inf", "nan"])
+def test_sampled_function_is_finite_on_a_spatial_grid(spatial, value):
+    grid = SpatialGrid((0.0,), (1.0,), (16,)) if spatial else moment_grid(Body([[0.0], [1.0]]), 16)
+    vals = np.zeros(grid.shape)
+    vals[3] = value
+    with pytest.raises(ConfigurationError):
+        SampledFunction(grid, vals)
