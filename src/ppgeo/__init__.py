@@ -47,7 +47,7 @@ from .grids import (
     SpatialGrid,
     moment_grid,
 )
-from .harness import SUITES, Lab, TheoremReport, make_lab, run_suites
+from .harness import SUITES, Lab, TheoremReport, run_suites
 from .measures import (
     AtomicMeasure,
     DensityField,
@@ -105,7 +105,6 @@ __all__ = [
     "SUITES",
     "Lab",
     "TheoremReport",
-    "make_lab",
     "run_suites",
     "AtomicMeasure",
     "DensityField",

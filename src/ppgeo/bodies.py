@@ -150,10 +150,12 @@ class EpsilonFamily:
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
     schedule = DEFAULT_SCHEDULE if schedule is None else tuple(float(e) for e in schedule)
-    if any(e <= 0 for e in schedule) or any(
+    # two entries at least: the limit route fits a line through the schedule
+    if len(schedule) < 2 or any(e <= 0 for e in schedule) or any(
         a <= b for a, b in zip(schedule, schedule[1:])
     ):
-        raise ConfigurationError("epsilon schedule must be strictly decreasing and positive")
+        raise ConfigurationError(
+            "epsilon schedule must be two or more strictly decreasing positive numbers")
     cells = (cells,) * base.ndim if np.isscalar(cells) else tuple(int(c) for c in cells)
     bodies = tuple(base.perturbed(e) for e in schedule)
     grids = tuple(moment_grid(b, cells) for b in bodies)

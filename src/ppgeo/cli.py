@@ -23,14 +23,14 @@ from .corpus import (
     CLOSED_FORMS,
     PAIR_CATALOG,
     dual_from_form,
+    obstacle_from_form,
     pair_from_catalog,
     random_dual_pairs,
-    sample_closed_form,
 )
 from .duality import to_primal
 from .envelopes import envelope, measure_identity_residual
 from .geodesics import curve_checks, geodesic
-from .grids import ConfigurationError, SampledFunction, SpatialGrid, check_p, moment_grid
+from .grids import ConfigurationError, SpatialGrid, check_p, moment_grid
 from .harness import SUITES, Lab, run_suites
 from .measures import energy, ma_atomic, ma_density
 from .metric import (
@@ -125,8 +125,8 @@ def check_config(cfg: dict) -> None:
                     and reals(s["lo"]) and reals(s["hi"]) and _list_of(cells, n)(s["cells"]),
                     f"an object with exactly lo, hi and cells, each a list of {n} "
                     "finite numbers, cells integers >= 8"),
-        "epsilon_schedule": (lambda e: e is None or _list_of(_is_real)(e) and len(e) > 0,
-                             "null or a nonempty list of numbers"),
+        "epsilon_schedule": (lambda e: e is None or _list_of(_is_real)(e),
+                             "null or a list of numbers"),
         "pair": (lambda s: _is_str(s) or _list_of(_is_str, 2)(s)
                  or isinstance(s, dict) and set(s) == {"seed_index"}
                  and _at_least(0)(s["seed_index"]),
@@ -182,11 +182,15 @@ class Experiment:
         )
 
     def resolve_obstacles(self):
-        return [SampledFunction(self.spatial, sample_closed_form(name, self.spatial),
-                                provenance=name) for name in self.cfg["obstacles"]]
+        return [obstacle_from_form(name, self.spatial) for name in self.cfg["obstacles"]]
 
     def resolve_dual(self):
         return dual_from_form(self.cfg["potential"], self.klass.p_body, self.grid)
+
+    def lab(self) -> Lab:
+        """The verification suites' fixtures: these grids and seeded pairs."""
+        pairs = random_dual_pairs(self.seed, self.cfg["suite_pairs"], self.klass.p_body, self.grid)
+        return Lab(self.klass, self.grid, self.spatial, self.family, tuple(pairs))
 
 
 def _check_out(out: str | None) -> None:
@@ -302,13 +306,7 @@ def cmd_verify(exp: Experiment, args) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITES)
-    pairs = tuple(
-        random_dual_pairs(
-            exp.seed, exp.cfg["suite_pairs"], exp.klass.p_body, exp.grid
-        )
-    )
-    lab = Lab(exp.klass, exp.grid, exp.spatial, exp.family, exp.seed, pairs)
-    reports = run_suites(names, lab, exp.p)
+    reports = run_suites(names, exp.lab(), exp.p)
     for rep in reports:
         print(rep.to_text())
     if args.out:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bodies import Body
 from .duality import DualPotential
-from .grids import ConfigurationError, MomentGrid
+from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
 
 INF = float("inf")
 # random_dual: the range of the number of affine pieces, of their slopes,
@@ -85,14 +85,20 @@ def sample_closed_form(expr_id: str, grid) -> np.ndarray:
     return np.array([form.fn(float(x)) for x in pts])
 
 
-def dual_from_form(expr_id: str, body: Body, grid: MomentGrid) -> DualPotential:
+def _sample_form(expr_id: str, kind: str, grid) -> np.ndarray:
+    """Samples of a closed form of the given kind; ConfigurationError on any other."""
     form = CLOSED_FORMS.get(expr_id)
-    if form is None:
-        raise ConfigurationError(f"unknown closed form {expr_id!r}")
-    if form.kind != "dual":
-        raise ConfigurationError(f"{expr_id!r} is not a dual closed form")
-    vals = sample_closed_form(expr_id, grid)
-    return DualPotential(body, grid, vals, provenance=expr_id)
+    if form is not None and form.kind != kind:
+        raise ConfigurationError(f"{expr_id!r} is not a {kind} closed form")
+    return sample_closed_form(expr_id, grid)
+
+
+def dual_from_form(expr_id: str, body: Body, grid: MomentGrid) -> DualPotential:
+    return DualPotential(body, grid, _sample_form(expr_id, "dual", grid), provenance=expr_id)
+
+
+def obstacle_from_form(expr_id: str, spatial: SpatialGrid) -> SampledFunction:
+    return SampledFunction(spatial, _sample_form(expr_id, "primal", spatial), provenance=expr_id)
 
 
 # bundled pair catalog: name -> (dual id 0, dual id 1, note)

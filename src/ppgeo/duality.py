@@ -194,9 +194,6 @@ class DualPotential:
         """True when the dual is finite on the body's cells."""
         return bool(np.isfinite(self.values[self.grid.mask]).all())
 
-    def convexity_slack(self) -> float:
-        return second_difference_slack(self.values)
-
     def eval_primal(self, points: np.ndarray) -> np.ndarray:
         """u(x) = max over finite moment nodes of (<p,x> - u*(p)), points shaped (M, ndim).
 
@@ -282,7 +279,7 @@ def clamped_hull(x: np.ndarray, values: np.ndarray,
     return out
 
 
-def convexify(f: SampledFunction, body: Body | None = None) -> PrimalPotential:
+def convexify(f: SampledFunction, body: Body) -> PrimalPotential:
     """Largest grid-convex function below f (lower convex hull); idempotent."""
     vals = convexify_moment_values(f.grid, f.values)
     return PrimalPotential(f.grid, vals, body=body, provenance=f.provenance)

@@ -4,6 +4,8 @@ Each suite checks one statement of the metric geometry on a deterministic
 corpus and reports the worst slack against a pinned tolerance.  Tolerances
 come in three classes: identity (1e-9 relative, dual-route exact),
 quadrature (max(1%, 5h)) and convergence (2% at the finest schedule entry).
+The suites share one ``Lab``; ``cli.Experiment.lab()`` builds it from a
+config, so ``ppgeo verify`` and a library caller check the same fixtures.
 """
 from __future__ import annotations
 
@@ -11,21 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ClassBody, EpsilonFamily, default_class_body, epsilon_family
-from .corpus import CLOSED_FORMS, dual_from_form, random_dual_pairs, sample_closed_form
+from .bodies import ClassBody, EpsilonFamily
+from .corpus import CLOSED_FORMS, dual_from_form, obstacle_from_form
 from .duality import DualPotential, convexify_moment_values
 from .envelopes import envelope, envelope_dual, rooftop
 from .geodesics import geodesic
-from .grids import MomentGrid, SampledFunction, SpatialGrid, moment_grid
+from .grids import MomentGrid, SpatialGrid
 from .measures import i_p, ma_density
 from .metric import FORMAT_VERSION, dp_endpoint, truncate_dual
 
 IDENTITY_TOL = 1e-9
 CONVERGENCE_TOL = 0.02
-# fixed suite sizes: the (t, s) grid of geodesic_metric, the Cauchy indices
-# of completeness, the truncation caps of monotone_continuity, and the two
-# obstacles and the geodesic time step of epsilon_lemmas
+# fixed suite sizes: the (t, s) grid of geodesic_metric, the Cauchy sequences
+# and indices of completeness, the truncation caps of monotone_continuity, and
+# the two obstacles and the geodesic time step of epsilon_lemmas
 GEODESIC_TS = 5
+COMPLETENESS_KINDS = ("monotone", "oscillating")
 COMPLETENESS_J_MAX = 6
 COMPLETENESS_K_MAX = 10
 CONTINUITY_CAPS = (2.0, 4.0, 8.0, 16.0)
@@ -84,25 +87,11 @@ class Lab:
     grid: MomentGrid
     spatial: SpatialGrid
     family: EpsilonFamily
-    seed: int
     pairs: tuple
 
     @property
     def h(self) -> float:
         return max(self.grid.spacing)
-
-
-def make_lab(ndim: int = 1, cells: int = 1024, spatial_cells: int = 2048,
-             seed: int = 20240, n_pairs: int = 20) -> Lab:
-    klass = default_class_body(ndim)
-    grid = moment_grid(klass.p_body, cells)
-    if ndim == 1:
-        spatial = SpatialGrid((-4.0,), (5.0,), (spatial_cells,))
-    else:
-        spatial = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (spatial_cells, spatial_cells))
-    family = epsilon_family(klass, cells)
-    pairs = tuple(random_dual_pairs(seed, n_pairs, klass.p_body, grid))
-    return Lab(klass, grid, spatial, family, seed, pairs)
 
 
 def check_pythagorean(lab: Lab, p: float) -> TheoremReport:
@@ -171,7 +160,7 @@ def check_geodesic_metric(lab: Lab, p: float) -> TheoremReport:
     )
 
 
-def cauchy_sequence(lab: Lab, kind: str = "monotone", n: int = 8) -> list[DualPotential]:
+def cauchy_sequence(lab: Lab, kind: str, n: int) -> list[DualPotential]:
     """Synthetic sequence with d_p(u_j, u_{j+1}) <= 2^-j, by dual interpolation."""
     g = dual_from_form("dual_ramp", lab.klass.p_body, lab.grid)
     if kind == "monotone":
@@ -187,44 +176,50 @@ def cauchy_sequence(lab: Lab, kind: str = "monotone", n: int = 8) -> list[DualPo
     ]
 
 
-def check_completeness(lab: Lab, p: float, kind: str = "monotone") -> TheoremReport:
-    """Rooftops along a Cauchy sequence contract: d_p(u_j, v_{j,k}) <= 2^{1-j}."""
+def check_completeness(lab: Lab, p: float) -> TheoremReport:
+    """Rooftops along a Cauchy sequence contract: d_p(u_j, v_{j,k}) <= 2^{1-j}.
+
+    Replayed on a monotone and on an oscillating sequence; the details hold
+    one entry per sequence.
+    """
     j_max, k_max = COMPLETENESS_J_MAX, COMPLETENESS_K_MAX
-    seq = cauchy_sequence(lab, kind, n=j_max + k_max + 1)
-    budget_ok = all(
-        dp_endpoint(seq[j], seq[j + 1], p) <= 2.0**-j + 1e-12
-        for j in range(len(seq) - 1)
-    )
     slacks = []
-    monotone_violation = 0.0
-    limit_distances = []
-    for j in range(j_max + 1):
-        prev = None
-        for k in range(1, k_max + 1):
-            v_jk = rooftop(*seq[j : j + k + 1])
-            d = dp_endpoint(seq[j], v_jk, p)
-            slacks.append(max(0.0, d - 2.0 ** (1 - j) * 1.0) / 2.0 ** (1 - j))
-            if prev is not None:
-                # v_{j,k} decreases in k, so its dual must not decrease
-                monotone_violation = max(
-                    monotone_violation, float((prev - v_jk.values).max())
-                )
-            prev = v_jk.values
-        limit_distances.append(dp_endpoint(seq[j], rooftop(*seq[j:]), p))
-    return TheoremReport(
-        suite="completeness",
-        description="rooftop construction along a synthetic Cauchy sequence",
-        corpus=f"{kind} sequence, j<=%d, k<=%d, p=%s" % (j_max, k_max, p),
-        slacks=slacks,
-        tolerance=0.05,
-        details={
+    details = {}
+    for kind in COMPLETENESS_KINDS:
+        seq = cauchy_sequence(lab, kind, j_max + k_max + 1)
+        budget_ok = all(
+            dp_endpoint(seq[j], seq[j + 1], p) <= 2.0**-j + 1e-12
+            for j in range(len(seq) - 1)
+        )
+        monotone_violation = 0.0
+        limit_distances = []
+        for j in range(j_max + 1):
+            prev = None
+            for k in range(1, k_max + 1):
+                v_jk = rooftop(*seq[j : j + k + 1])
+                d = dp_endpoint(seq[j], v_jk, p)
+                slacks.append(max(0.0, d - 2.0 ** (1 - j)) / 2.0 ** (1 - j))
+                if prev is not None:
+                    # v_{j,k} decreases in k, so its dual must not decrease
+                    monotone_violation = max(monotone_violation, float((prev - v_jk.values).max()))
+                prev = v_jk.values
+            limit_distances.append(dp_endpoint(seq[j], rooftop(*seq[j:]), p))
+        details[kind] = {
             "budget_ok": budget_ok,
             "rooftop_monotone_violation": monotone_violation,
             "limit_distances": limit_distances,
             "limit_decreasing": all(
                 b <= a + 1e-12 for a, b in zip(limit_distances, limit_distances[1:])
             ),
-        },
+        }
+    return TheoremReport(
+        suite="completeness",
+        description="rooftop construction along synthetic Cauchy sequences",
+        corpus="%s sequences, j<=%d, k<=%d, p=%s"
+        % (" and ".join(COMPLETENESS_KINDS), j_max, k_max, p),
+        slacks=slacks,
+        tolerance=0.05,
+        details=details,
     )
 
 
@@ -265,7 +260,7 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     """
     obstacles = EPSILON_OBSTACLES
     bounds = [CLOSED_FORMS[o].hessian_bound for o in obstacles]
-    fs = [SampledFunction(lab.spatial, sample_closed_form(o, lab.spatial), o) for o in obstacles]
+    fs = [obstacle_from_form(o, lab.spatial) for o in obstacles]
 
     def quantities(body, grid):
         """I_p, the envelope density and the contact-masked velocity integrand."""
@@ -333,10 +328,8 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], lab: Lab | None = None,
-               p: float = 2.0) -> list[TheoremReport]:
+def run_suites(names: list[str], lab: Lab, p: float) -> list[TheoremReport]:
     """Run the selected suites; reports merged in declared order."""
-    lab = lab if lab is not None else make_lab()
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")

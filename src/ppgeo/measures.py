@@ -146,12 +146,12 @@ def _relative_values(u: DualPotential, points: np.ndarray) -> np.ndarray:
     return u.eval_primal(points) - u.body.support_many(points)
 
 
-def energy(u: DualPotential, spatial_grid: SpatialGrid | None = None) -> float:
+def energy(u: DualPotential, spatial_grid: SpatialGrid) -> float:
     """Volume-normalized Monge-Ampère energy; zero at the minimal potential.
 
     1d: E = (1/2 vol) [ int (u-V) dMA(u) + int (u-V) dMA(V) ].
-    2d: the middle term integrates against the mixed measure, needing a
-    spatial grid for the polarization route.
+    2d: the middle term integrates against the mixed measure, polarized on
+    the spatial grid (which 1d does not read).
     """
     require_minimal_singularities(u)
     body = u.body
@@ -164,8 +164,6 @@ def energy(u: DualPotential, spatial_grid: SpatialGrid | None = None) -> float:
         mav.integrate(_relative_values(u, mav.locations)),
     ]
     if u.grid.ndim == 2:
-        if spatial_grid is None:
-            raise ConfigurationError("2d energy needs a spatial grid for the mixed term")
         mixed = ma_mixed_pair(u, vzero, spatial_grid)
         terms.insert(1, mixed.integrate(_relative_values(u, mixed.locations)))
     n = u.grid.ndim

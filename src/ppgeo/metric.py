@@ -191,8 +191,7 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def d1_energy(u0: DualPotential, u1: DualPotential,
-              spatial_grid: SpatialGrid | None = None) -> float:
+def d1_energy(u0: DualPotential, u1: DualPotential, spatial_grid: SpatialGrid) -> float:
     """d_1 via the energy: E(u0) + E(u1) - 2 E(rooftop(u0, u1))."""
     roof = rooftop(u0, u1)
     return float(

@@ -33,9 +33,10 @@ from ppgeo import (
     to_dual,
     to_primal,
 )
+from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.cli import main as cli_main
 from ppgeo.corpus import random_dual_pairs, sample_closed_form
-from ppgeo.harness import check_completeness, check_epsilon_lemmas, make_lab
+from ppgeo.harness import check_completeness, check_epsilon_lemmas
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -184,7 +185,7 @@ def test_08_comparability_with_ip(pairs):
 
 
 def test_09_epsilon_approximation():
-    lab = make_lab(n_pairs=4)
+    lab = Experiment(dict(DEFAULT_CONFIG, suite_pairs=4)).lab()
     rep = check_epsilon_lemmas(lab, 2.0)
     fracs = rep.details["density_monotone_fractions"]
     gap = rep.details["ip_final_gap"]
@@ -202,12 +203,9 @@ def test_09_epsilon_approximation():
 
 
 def test_10_completeness():
-    lab = make_lab(n_pairs=2)
-    worst = 0.0
-    for kind in ("monotone", "oscillating"):
-        for p in (1.0, 2.0):
-            rep = check_completeness(lab, p, kind=kind)
-            worst = max(worst, rep.worst_slack)
+    # the suite replays both the monotone and the oscillating sequence
+    lab = Experiment(dict(DEFAULT_CONFIG, suite_pairs=2)).lab()
+    worst = max(check_completeness(lab, p).worst_slack for p in (1.0, 2.0))
     _report(10, "rooftop completeness", worst <= 0.05,
             f"worst excess over 2^(1-j)={worst:.2e}")
 

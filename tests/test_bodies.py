@@ -74,6 +74,13 @@ def test_default_schedule_decreasing():
     assert epsilon_family(default_class_body(1), 64).schedule == sched
 
 
+@pytest.mark.parametrize("schedule", [[], [0.1], [0.1, 0.1], [0.1, 0.2], [0.1, -0.05]])
+def test_epsilon_family_rejects_schedules_without_a_limit_fit(schedule):
+    # the limit route fits a line through the schedule: it needs two distinct points
+    with pytest.raises(ConfigurationError, match="epsilon schedule"):
+        epsilon_family(default_class_body(1), 64, schedule)
+
+
 def test_epsilon_family_volumes(capsys):
     fam = epsilon_family(default_class_body(1), 64)
     for eps, vol in zip(fam.schedule, fam.volumes):

@@ -148,12 +148,16 @@ def test_verify_report_file(config, tmp_path, capsys):
         ({"moment_cells": "abc"}, ["distance"]),
         ({"spatial": {"lo": [-4.0], "cells": [512]}}, ["distance"]),
         ({"obstacles": ["quadratic"]}, ["distance", "--route", "limit"]),
+        ({"epsilon_schedule": [0.1]}, ["distance", "--route", "limit"]),
+        ({"obstacles": ["dual_quadratic", "dual_ramp"]}, ["distance", "--route", "limit"]),
+        ({"obstacles": ["dual_quadratic"]}, ["envelope"]),
         ({}, ["corpus", "--out", "{tmp}/missing/x.json"]),
         ({}, ["distance", "--out", "{tmp}"]),
     ],
     ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
          "negative-seed-index", "moment-cells-not-integer", "spatial-without-hi",
-         "limit-with-one-obstacle", "out-in-missing-directory", "out-is-a-directory"],
+         "limit-with-one-obstacle", "one-entry-schedule", "limit-with-dual-obstacles",
+         "envelope-of-a-dual-obstacle", "out-in-missing-directory", "out-is-a-directory"],
 )
 def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     path = tmp_path / "config.json"

@@ -18,7 +18,7 @@ from ppgeo import (
     moment_grid,
     rooftop,
 )
-from ppgeo.corpus import sample_closed_form
+from ppgeo.corpus import obstacle_from_form
 from ppgeo.duality import (
     clamped_hull,
     conjugate_nd,
@@ -40,7 +40,15 @@ SPATIAL = SpatialGrid((-4.0,), (5.0,), (2048,))
 
 
 def obstacle(name):
-    return SampledFunction(SPATIAL, sample_closed_form(name, SPATIAL), name)
+    return obstacle_from_form(name, SPATIAL)
+
+
+def test_obstacles_are_primal_closed_forms_as_duals_are_dual_ones():
+    for name in ("dual_quadratic", "dual_ramp", "dual_log_barrier"):
+        with pytest.raises(ConfigurationError, match=f"'{name}' is not a primal closed form"):
+            obstacle_from_form(name, SPATIAL)
+    with pytest.raises(ConfigurationError, match="'quadratic' is not a dual closed form"):
+        dual_from_form("quadratic", KLASS.p_body, GRID)
 
 
 def test_admissible_obstacle_is_its_own_envelope():
@@ -276,7 +284,7 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
     body = minkowski_sum(KLASS.p_body, KLASS.q_body, eps) if eps else KLASS.p_body
     grid = moment_grid(body, 128)
     x = SMALL_SPATIAL.axes()[0]
-    f = SampledFunction(SMALL_SPATIAL, sample_closed_form(name, SMALL_SPATIAL), name)
+    f = obstacle_from_form(name, SMALL_SPATIAL)
     primal = envelope(f, body, grid).primal.values
     (a,), (b,) = body.bounding_box()
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ppgeo import TheoremReport, make_lab, run_suites
+from ppgeo import TheoremReport, run_suites
+from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.harness import (
     SUITES,
     check_completeness,
@@ -14,7 +15,8 @@ from ppgeo.harness import (
 
 @pytest.fixture(scope="module")
 def lab():
-    return make_lab(cells=512, spatial_cells=1024, n_pairs=8)
+    return Experiment(dict(DEFAULT_CONFIG, moment_cells=512, suite_pairs=8,
+                           spatial={"lo": [-4.0], "hi": [5.0], "cells": [1024]})).lab()
 
 
 def test_every_suite_passes(lab):
@@ -39,11 +41,13 @@ def test_verdict_flips_on_tolerance():
 
 
 def test_completeness_budget_and_limits(lab):
-    rep = check_completeness(lab, 2.0, kind="oscillating")
+    rep = check_completeness(lab, 2.0)
     assert rep.verdict == "pass"
-    assert rep.details["budget_ok"]
-    assert rep.details["rooftop_monotone_violation"] <= 1e-12
-    assert rep.details["limit_decreasing"]
+    assert sorted(rep.details) == ["monotone", "oscillating"]
+    for details in rep.details.values():
+        assert details["budget_ok"]
+        assert details["rooftop_monotone_violation"] <= 1e-12
+        assert details["limit_decreasing"]
 
 
 def test_monotone_continuity_details(lab):

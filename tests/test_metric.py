@@ -28,6 +28,7 @@ from ppgeo import (
     moment_grid,
     pair_from_catalog,
     rooftop,
+    to_dual,
     to_primal,
     truncate_dual,
 )
@@ -268,8 +269,20 @@ def _random_triangle_pair(seed):
        t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
 def test_2d_metric_identities_on_random_triangles(seed, p, t, s):
     grid, u, v = _random_triangle_pair(seed)
+    # the box holds every slope of the duals, so every argmax of the involution is inside it
+    sp = SpatialGrid((-2.5, -2.5), (3.5, 3.5), (64, 64))
+    h = max(max(sp.spacing), max(grid.spacing))
+    corners = u.body.vertex_array
+    diam = max(np.linalg.norm(a - b) for a in corners for b in corners)
     for w in (u, v):
         assert ma_atomic(w).total_mass == pytest.approx(grid.weights.sum(), rel=1e-12, abs=1e-12)
+        back = to_dual(to_primal(w, sp), grid).values
+        assert np.array_equal(np.isfinite(back), grid.mask)
+        assert (back[~grid.mask] == np.inf).all()
+        on_body = w.values[grid.mask]
+        assert np.abs(back[grid.mask] - on_body).max() <= 2.0 * h * diam
+        capped = truncate_dual(w, float(on_body.max()) + 1.0).values[grid.mask]
+        assert np.abs(capped - on_body).max() <= 1e-12 * max(1.0, np.abs(on_body).max())
     d = dp_endpoint(u, v, p)
     assert d == pytest.approx(dp_dual_oracle(u, v, p), rel=1e-9)
     roof = rooftop(u, v)

@@ -1,24 +1,25 @@
-"""Every defaulted parameter of the package is set by some caller.
+"""Every defaulted parameter of the package is set by product code and left out by some call.
 
-A default that no call overrides is a constant in disguise: it multiplies
-the configurations that tests would have to cover while none of them
-does.  The scan reads every function definition under ``src/ppgeo`` and
-every call under ``src/``, ``tests/`` and ``perfbench/``; a parameter
-counts as set when a call to a function of the same name passes it by
-keyword or by position, or passes ``*args``/``**kwargs``.
+A default that no product call overrides is a constant in disguise: it
+multiplies the configurations that tests would have to cover while no
+command, suite or benchmark runs them.  A default that every call overrides
+is never used: the parameter is required in all but name.  The scan reads
+every function definition under ``src/ppgeo``.  A parameter counts as set
+when a call under ``src/`` or ``perfbench/`` to a function of the same name
+passes it by keyword or by position, or passes ``*args``/``**kwargs``; its
+default counts as used when some call under ``src/``, ``tests/`` or
+``perfbench/`` does none of these.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ppgeo"
-CALLERS = ("src", "tests", "perfbench")
+PRODUCT = ("src", "perfbench")
+CALLERS = PRODUCT + ("tests",)
 
-# function -> (parameters no caller sets yet, why their defaults stay)
-ALLOWED = {
-    "make_lab": (("ndim", "seed"), "the library entry point for a lab in 2d or "
-                                   "on another corpus seed"),
-}
+# function -> (parameters that a check flags, why their defaults stay)
+ALLOWED: dict[str, tuple[tuple[str, ...], str]] = {}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -46,9 +47,9 @@ def defaulted_parameters() -> list[tuple[str, str, str, int | None, bool]]:
     return out
 
 
-def calls_by_name() -> dict[str, list[ast.Call]]:
+def calls_by_name(subdirs: tuple[str, ...]) -> dict[str, list[ast.Call]]:
     out: dict[str, list[ast.Call]] = {}
-    for sub in CALLERS:
+    for sub in subdirs:
         for path in sorted((ROOT / sub).rglob("*.py")):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Call):
@@ -69,7 +70,8 @@ def _sets(call: ast.Call, param: str, position: int | None, method: bool) -> boo
 
 
 def unset_parameters() -> list[tuple[str, str, str]]:
-    calls = calls_by_name()
+    """Defaulted parameters that no product call sets."""
+    calls = calls_by_name(PRODUCT)
     return [
         (mod, fn, param)
         for mod, fn, param, position, method in defaulted_parameters()
@@ -77,13 +79,32 @@ def unset_parameters() -> list[tuple[str, str, str]]:
     ]
 
 
+def unused_defaults() -> list[tuple[str, str, str]]:
+    """Defaulted parameters that every call sets, so that no call uses the default."""
+    calls = calls_by_name(CALLERS)
+    return [
+        (mod, fn, param)
+        for mod, fn, param, position, method in defaulted_parameters()
+        if all(_sets(c, param, position, method) for c in calls.get(fn, []))
+    ]
+
+
+def _not_allowed(found: list[tuple[str, str, str]]) -> list[str]:
+    return [f"{mod}.{fn}({param})" for mod, fn, param in found
+            if param not in ALLOWED.get(fn, ((), ""))[0]]
+
+
 def test_every_defaulted_parameter_is_set_by_a_caller():
-    unset = [f"{mod}.{fn}({param})" for mod, fn, param in unset_parameters()
-             if param not in ALLOWED.get(fn, ((), ""))[0]]
-    assert not unset, "defaulted parameters that no caller sets: " + ", ".join(unset)
+    unset = _not_allowed(unset_parameters())
+    assert not unset, "defaulted parameters that no product caller sets: " + ", ".join(unset)
+
+
+def test_every_default_is_left_out_by_some_call():
+    unused = _not_allowed(unused_defaults())
+    assert not unused, "defaults that every call overrides: " + ", ".join(unused)
 
 
 def test_allowlist_holds_only_unset_parameters():
-    unset = {(fn, param) for _, fn, param in unset_parameters()}
+    flagged = {(fn, param) for _, fn, param in unset_parameters() + unused_defaults()}
     allowed = {(fn, param) for fn, (params, _) in ALLOWED.items() for param in params}
-    assert allowed <= unset, f"set by a caller now: {sorted(allowed - unset)}"
+    assert allowed <= flagged, f"no check flags these now: {sorted(allowed - flagged)}"
