@@ -1,9 +1,10 @@
 """Built-in closed forms, bundled potential pairs, and the seeded generator.
 
 Closed forms are referenced by string id so that experiment configs never
-carry parsed arithmetic.  Duals are convex functions of the moment variable
-p; primals are convex functions of the spatial variable x.  +inf is returned
-only at declared singular loci.
+carry parsed arithmetic.  Each takes a point of R^n, the moment variable p
+for duals and the spatial variable x for primals; the squares read |.|^2 and
+every other form reads the first coordinate.  +inf is returned only at
+declared singular loci.  Seeded duals sum one random profile per axis.
 """
 from __future__ import annotations
 
@@ -27,70 +28,57 @@ RANDOM_OFFSET = 1.0
 @dataclass(frozen=True)
 class ClosedForm:
     kind: str  # "primal" | "dual"
-    fn: object  # scalar callable
+    fn: object  # callable of a point (a list of n floats)
     note: str
     hessian_bound: float | None = None  # primal obstacles only
     singular: bool = False
 
 
-def _support_unit(x):
-    return max(0.0, x)
+def _half_square(x) -> float:
+    return 0.5 * sum(t * t for t in x)
 
 
 CLOSED_FORMS: dict[str, ClosedForm] = {
-    "support_[0,1]": ClosedForm("primal", _support_unit, "support function of [0,1]"),
+    "support_[0,1]": ClosedForm("primal", lambda x: max(0.0, x[0]), "support function of [0, e1]"),
     "shifted_support": ClosedForm(
-        "primal", lambda x: max(0.0, x - 1.0), "support function translated by 1"
+        "primal", lambda x: max(0.0, x[0] - 1.0), "support function of [0, e1] translated by e1"
     ),
-    "quadratic": ClosedForm("primal", lambda x: 0.5 * x * x, "x^2/2", hessian_bound=1.0),
+    "quadratic": ClosedForm("primal", _half_square, "|x|^2/2", hessian_bound=1.0),
     "quadratic_bump": ClosedForm(
         "primal",
-        lambda x: 0.5 * x * x + 0.2 * math.cos(3.0 * x),
-        "x^2/2 with a cosine ripple",
+        lambda x: _half_square(x) + 0.2 * math.cos(3.0 * x[0]),
+        "|x|^2/2 + cos(3 x1)/5, a cosine ripple",
         hessian_bound=1.0 + 0.2 * 9.0,
     ),
     "soft_ramp": ClosedForm(
         "primal",
-        lambda x: 0.5 * (x + math.sqrt(x * x + 0.25)),
-        "smoothed positive part, slopes in (0,1)",
+        lambda x: 0.5 * (x[0] + math.sqrt(x[0] * x[0] + 0.25)),
+        "smoothed positive part of x1, slopes in (0,1)",
         hessian_bound=1.0,
     ),
-    "dual_zero": ClosedForm("dual", lambda p: 0.0, "dual of the support function"),
-    "dual_ramp": ClosedForm("dual", lambda p: p, "affine dual, all mass at x=1"),
-    "dual_crossing": ClosedForm("dual", lambda p: 1.0 - p, "affine dual, all mass at x=-1"),
-    "dual_quadratic": ClosedForm("dual", lambda p: 0.5 * p * p, "p^2/2"),
+    "dual_zero": ClosedForm("dual", lambda p: 0.0, "dual of the support function of the body"),
+    "dual_ramp": ClosedForm("dual", lambda p: p[0], "p1: affine, all mass at x=e1"),
+    "dual_crossing": ClosedForm("dual", lambda p: 1.0 - p[0], "1-p1: affine, all mass at x=-e1"),
+    "dual_quadratic": ClosedForm("dual", _half_square, "|p|^2/2"),
     "dual_log_barrier": ClosedForm(
         "dual",
-        lambda p: -math.log(1.0 - p) if p < 1.0 else INF,
-        "-log(1-p), +inf at p=1",
+        lambda p: -math.log(1.0 - p[0]) if p[0] < 1.0 else INF,
+        "-log(1-p1), +inf at p1=1",
         singular=True,
     ),
-    "dual_power_cusp": ClosedForm(
-        "dual", lambda p: abs(p) ** 1.5, "|p|^{3/2} power cusp"
-    ),
-    "dual_vee": ClosedForm("dual", lambda p: abs(p - 0.5), "|p - 1/2| kink"),
+    "dual_power_cusp": ClosedForm("dual", lambda p: abs(p[0]) ** 1.5, "|p1|^{3/2} power cusp"),
+    "dual_vee": ClosedForm("dual", lambda p: abs(p[0] - 0.5), "|p1 - 1/2| kink"),
 }
 
 
-def sample_closed_form(expr_id: str, grid) -> np.ndarray:
-    """Sample a 1d closed form on every node of a 1d grid."""
+def _sample_form(expr_id: str, kind: str, grid) -> np.ndarray:
+    """A closed form of the given kind at every node of a grid; ConfigurationError otherwise."""
     form = CLOSED_FORMS.get(expr_id)
     if form is None:
         raise ConfigurationError(f"unknown closed form {expr_id!r}")
-    if grid.ndim != 1:
-        raise ConfigurationError(
-            f"closed forms are 1d; cannot sample {expr_id!r} on a {grid.ndim}d grid"
-        )
-    pts = grid.axes()[0]
-    return np.array([form.fn(float(x)) for x in pts])
-
-
-def _sample_form(expr_id: str, kind: str, grid) -> np.ndarray:
-    """Samples of a closed form of the given kind; ConfigurationError on any other."""
-    form = CLOSED_FORMS.get(expr_id)
-    if form is not None and form.kind != kind:
+    if form.kind != kind:
         raise ConfigurationError(f"{expr_id!r} is not a {kind} closed form")
-    return sample_closed_form(expr_id, grid)
+    return np.array([form.fn(x) for x in grid.nodes().tolist()]).reshape(grid.shape)
 
 
 def dual_from_form(expr_id: str, body: Body, grid: MomentGrid) -> DualPotential:
@@ -103,9 +91,9 @@ def obstacle_from_form(expr_id: str, spatial: SpatialGrid) -> SampledFunction:
 
 # bundled pair catalog: name -> (dual id 0, dual id 1, note)
 PAIR_CATALOG: dict[str, tuple[str, str, str]] = {
-    "ramp_pair": ("dual_zero", "dual_ramp", "duals 0 and p; d_1 = 1/2"),
-    "crossing_pair": ("dual_ramp", "dual_crossing", "duals p and 1-p; d_2 = 3^{-1/2}"),
-    "quadratic_pair": ("dual_zero", "dual_quadratic", "duals 0 and p^2/2"),
+    "ramp_pair": ("dual_zero", "dual_ramp", "duals 0 and p1; d_1 = 1/2"),
+    "crossing_pair": ("dual_ramp", "dual_crossing", "duals p1 and 1-p1; d_2 = 3^{-1/2}"),
+    "quadratic_pair": ("dual_zero", "dual_quadratic", "duals 0 and |p|^2/2"),
     "cusp_pair": ("dual_power_cusp", "dual_vee", "power cusp against a kink"),
     "log_barrier_singular": (
         "dual_zero",
@@ -115,20 +103,22 @@ PAIR_CATALOG: dict[str, tuple[str, str, str]] = {
 }
 
 
-def random_dual(rng: np.random.Generator, body: Body, grid: MomentGrid) -> DualPotential:
-    """Random convex piecewise-affine dual with a few pieces (1d)."""
-    if grid.ndim != 1:
-        raise ConfigurationError("random duals are generated on 1d moment grids")
-    lo, hi = grid.lo[0], grid.hi[0]
+def _random_profile(rng: np.random.Generator, lo: float, hi: float, p: np.ndarray) -> np.ndarray:
+    """Random convex piecewise-affine function of one coordinate, 0 at lo."""
     k = int(rng.integers(RANDOM_PIECES[0], RANDOM_PIECES[1] + 1))
     knots = np.sort(rng.uniform(lo, hi, size=k - 1))
     slopes = np.sort(rng.uniform(*RANDOM_SLOPES, size=k))
-    p = grid.axes()[0]
     seg = np.searchsorted(knots, p)
     # integrate the step-slope function from lo
     knot_vals = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(np.concatenate([[lo], knots])))])
     edges = np.concatenate([[lo], knots])
-    vals = knot_vals[seg] + slopes[seg] * (p - edges[seg])
+    return knot_vals[seg] + slopes[seg] * (p - edges[seg])
+
+
+def random_dual(rng: np.random.Generator, body: Body, grid: MomentGrid) -> DualPotential:
+    """Random convex dual: one piecewise-affine profile per axis, summed, plus an offset."""
+    profiles = [_random_profile(rng, lo, hi, p) for lo, hi, p in zip(grid.lo, grid.hi, grid.axes())]
+    vals = sum(np.meshgrid(*profiles, indexing="ij"))
     vals += rng.uniform(-RANDOM_OFFSET, RANDOM_OFFSET)
     return DualPotential(body, grid, vals, provenance="random_piecewise_affine")
 

@@ -162,16 +162,14 @@ def check_geodesic_metric(lab: Lab, p: float) -> TheoremReport:
 
 def cauchy_sequence(lab: Lab, kind: str, n: int) -> list[DualPotential]:
     """Synthetic sequence with d_p(u_j, u_{j+1}) <= 2^-j, by dual interpolation."""
-    g = dual_from_form("dual_ramp", lab.klass.p_body, lab.grid)
+    body, grid = lab.klass.p_body, lab.grid
+    # the dual ramp p1, finite off the body too, where DualPotential puts +inf
+    p1 = grid.nodes()[:, 0].reshape(grid.shape)
     if kind == "monotone":
-        return [
-            DualPotential(g.body, g.grid, (1.0 - 2.0**-j) * g.values, "cauchy")
-            for j in range(n)
-        ]
-    p_nodes = lab.grid.axes()[0]
-    wiggles = [0.5 * np.abs(p_nodes - 0.3), 0.5 * np.abs(p_nodes - 0.7)]
+        return [DualPotential(body, grid, (1.0 - 2.0**-j) * p1, "cauchy") for j in range(n)]
+    wiggles = [0.5 * np.abs(p1 - 0.3), 0.5 * np.abs(p1 - 0.7)]
     return [
-        DualPotential(g.body, g.grid, g.values + 2.0**-j * wiggles[j % 2], "cauchy")
+        DualPotential(body, grid, p1 + 2.0**-j * wiggles[j % 2], "cauchy")
         for j in range(n)
     ]
 
@@ -199,10 +197,12 @@ def check_completeness(lab: Lab, p: float) -> TheoremReport:
                 v_jk = rooftop(*seq[j : j + k + 1])
                 d = dp_endpoint(seq[j], v_jk, p)
                 slacks.append(max(0.0, d - 2.0 ** (1 - j)) / 2.0 ** (1 - j))
+                # the dual on the body; off it every dual is +inf
+                on_body = v_jk.values[lab.grid.mask]
                 if prev is not None:
                     # v_{j,k} decreases in k, so its dual must not decrease
-                    monotone_violation = max(monotone_violation, float((prev - v_jk.values).max()))
-                prev = v_jk.values
+                    monotone_violation = max(monotone_violation, float((prev - on_body).max()))
+                prev = on_body
             limit_distances.append(dp_endpoint(seq[j], rooftop(*seq[j:]), p))
         details[kind] = {
             "budget_ok": budget_ok,

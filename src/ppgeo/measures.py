@@ -151,11 +151,13 @@ def energy(u: DualPotential, spatial_grid: SpatialGrid) -> float:
 
     1d: E = (1/2 vol) [ int (u-V) dMA(u) + int (u-V) dMA(V) ].
     2d: the middle term integrates against the mixed measure, polarized on
-    the spatial grid (which 1d does not read).
+    the spatial grid (which 1d does not read), so the body must fill its box.
     """
     require_minimal_singularities(u)
     body = u.body
     vol = body.volume()
+    if u.grid.ndim == 2 and not np.isclose(vol, np.prod(np.ptp(body.vertex_array, axis=0))):
+        raise ConfigurationError("2d energy needs a body that fills its bounding box")
     vzero = DualPotential(body, u.grid, np.zeros(u.grid.shape), provenance="minimal")
     mau = ma_atomic(u)
     mav = ma_atomic(vzero)

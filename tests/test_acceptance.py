@@ -35,7 +35,7 @@ from ppgeo import (
 )
 from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.cli import main as cli_main
-from ppgeo.corpus import random_dual_pairs, sample_closed_form
+from ppgeo.corpus import obstacle_from_form, random_dual_pairs
 from ppgeo.harness import check_completeness, check_epsilon_lemmas
 
 KLASS = default_class_body(1)
@@ -82,7 +82,7 @@ def test_03_envelope_measure_identity():
     ok = True
     details = []
     for name, c in OBSTACLES:
-        f = SampledFunction(SPATIAL, sample_closed_form(name, SPATIAL), name)
+        f = obstacle_from_form(name, SPATIAL)
         rec = envelope(f, KLASS.p_body, GRID, hessian_bound=c)
         res = measure_identity_residual(rec)
         sup = float(ma_density(rec.primal).density.max())

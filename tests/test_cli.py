@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ppgeo
 from ppgeo.cli import main
 from ppgeo.corpus import CLOSED_FORMS, PAIR_CATALOG
+from ppgeo.harness import quadrature_tol
 
 SMALL = {
     "moment_cells": 256,
@@ -197,16 +198,50 @@ def test_seed_flag_changes_seeded_pair(config, capsys):
     assert json.loads(out1)["value"] != json.loads(out2)["value"]
 
 
-def test_two_dimensional_closed_forms_are_a_config_error(capsys, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "dimension": 2,
-        "moment_cells": 16,
-        "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [16, 16]},
-    }))
-    rc = main(["distance", "--config", str(path)])
-    assert rc == 2
-    assert "closed forms are 1d" in capsys.readouterr().err
+SQUARE = {
+    "dimension": 2,
+    "moment_cells": 32,
+    "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [64, 64]},
+    "suite_pairs": 4,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["distance", "--route", route] for route in ("endpoint", "oracle", "limit", "singular")),
+    ["distance", "--route", "energy", "--p", "1"],
+    ["geodesic"], ["envelope"], ["ma"], ["energy"], ["corpus"],
+])
+def test_every_command_runs_on_a_2d_square(config, capsys, argv):
+    rc, out = run(capsys, *argv, "--config", config(SQUARE))
+    assert rc == 0
+    assert out
+
+
+@pytest.mark.parametrize("pair, p, expected", [
+    ("ramp_pair", 1.0, 2.0**-1.0),
+    ("ramp_pair", 2.0, 3.0**-0.5),
+    ("crossing_pair", 2.0, 3.0**-0.5),
+])
+def test_2d_closed_form_pairs_match_their_distances(config, capsys, pair, p, expected):
+    # on the unit square both duals depend on p1 only, so d_p is the 1d value:
+    # (p+1)^(-1/p) for 0 and p1, and 3^(-1/2) for p1 and 1-p1 at p = 2
+    rc, out = run(capsys, "distance", "--config", config({**SQUARE, "pair": pair}), "--p", str(p))
+    assert rc == 0
+    h = 1.0 / SQUARE["moment_cells"]
+    assert json.loads(out)["value"] == pytest.approx(expected, rel=quadrature_tol(h))
+
+
+def test_2d_verify_passes_and_reports_identical_bytes(config, tmp_path, capsys):
+    cfg = config(SQUARE)
+    outs, files = [], []
+    for i in (0, 1):
+        out_file = tmp_path / f"rep{i}.json"
+        rc, out = run(capsys, "verify", "--config", cfg, "--out", str(out_file))
+        assert rc == 0, out
+        outs.append(out)
+        files.append(out_file.read_bytes())
+    assert outs[0] == outs[1]
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("command", ["ma", "geodesic"])

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ppgeo import TheoremReport, run_suites
+import ppgeo.harness
+from ppgeo import DualPotential, TheoremReport, run_suites
 from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.harness import (
     SUITES,
@@ -48,6 +49,27 @@ def test_completeness_budget_and_limits(lab):
         assert details["budget_ok"]
         assert details["rooftop_monotone_violation"] <= 1e-12
         assert details["limit_decreasing"]
+
+
+def test_completeness_sees_a_rooftop_violation_on_a_triangle(monkeypatch):
+    # off the triangle every dual is +inf: the check must read the body only
+    lab = Experiment(dict(
+        DEFAULT_CONFIG, dimension=2, moment_cells=16, suite_pairs=1,
+        spatial={"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [32, 32]},
+        p_body=[[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]],
+        q_body=[[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+    )).lab()
+    real = ppgeo.harness.rooftop
+
+    def undone(*us):
+        # every other rooftop's dual drops by 0.1, so it no longer grows in k
+        roof = real(*us)
+        return DualPotential(roof.body, roof.grid, roof.values - 0.1 * (len(us) % 2), "undone")
+
+    monkeypatch.setattr(ppgeo.harness, "rooftop", undone)
+    rep = check_completeness(lab, 2.0)
+    for details in rep.details.values():
+        assert details["rooftop_monotone_violation"] > 0.05
 
 
 def test_monotone_continuity_details(lab):

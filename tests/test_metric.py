@@ -10,6 +10,7 @@ import ppgeo.envelopes
 import ppgeo.metric
 from ppgeo import (
     Body,
+    ConfigurationError,
     DualPotential,
     SampledFunction,
     SpatialGrid,
@@ -32,8 +33,8 @@ from ppgeo import (
     to_primal,
     truncate_dual,
 )
-from ppgeo.corpus import random_dual_pairs, sample_closed_form
-from ppgeo.measures import PolarizationError, RequiresTruncationError
+from ppgeo.corpus import obstacle_from_form, random_dual_pairs
+from ppgeo.measures import RequiresTruncationError
 from ppgeo.metric import CSV_HEADER
 
 KLASS = default_class_body(1)
@@ -89,8 +90,8 @@ def test_d1_energy_route():
 
 
 def test_limit_route_matches_endpoint():
-    f = SampledFunction(SPATIAL, sample_closed_form("quadratic", SPATIAL), "quadratic")
-    g = SampledFunction(SPATIAL, sample_closed_form("soft_ramp", SPATIAL), "soft_ramp")
+    f = obstacle_from_form("quadratic", SPATIAL)
+    g = obstacle_from_form("soft_ramp", SPATIAL)
     rep = dp_limit(f, g, FAMILY, 2.0)
     assert rep.route == "epsilon_limit"
     assert len(rep.table) == 7
@@ -132,16 +133,17 @@ def test_endpoint_on_a_singular_dual_requires_truncation():
 
 
 def test_2d_energy_on_a_triangle_raises():
-    # the midpoint polarization of the mixed term needs a box body
+    # the midpoint polarization of the mixed term needs a box body, and the
+    # check is made at the boundary, before any polarization can go wrong
     body = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
     grid = moment_grid(body, 32)
     sp = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (32, 32))
     p = grid.nodes().reshape(grid.shape + (2,))
     u = DualPotential(body, grid, 0.5 * (p**2).sum(-1))
     zero = DualPotential(body, grid, np.zeros(grid.shape))
-    with pytest.raises(PolarizationError):
+    with pytest.raises(ConfigurationError, match="fills its bounding box"):
         energy(u, sp)
-    with pytest.raises(PolarizationError):
+    with pytest.raises(ConfigurationError, match="fills its bounding box"):
         d1_energy(u, zero, sp)
 
 
@@ -155,8 +157,8 @@ def test_truncation_is_monotone():
 
 
 def test_report_serialization():
-    f = SampledFunction(SPATIAL, sample_closed_form("quadratic", SPATIAL), "quadratic")
-    g = SampledFunction(SPATIAL, sample_closed_form("soft_ramp", SPATIAL), "soft_ramp")
+    f = obstacle_from_form("quadratic", SPATIAL)
+    g = obstacle_from_form("soft_ramp", SPATIAL)
     rep = dp_limit(f, g, FAMILY, 2.0)
     payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert payload["format_version"] == 1
@@ -198,8 +200,8 @@ def test_limit_builds_envelope_duals_only(monkeypatch):
         monkeypatch.setattr(ppgeo.envelopes, name, counting(name))
     sp = SpatialGrid((-4.0,), (5.0,), (256,))
     family = epsilon_family(KLASS, 128)
-    f = SampledFunction(sp, sample_closed_form("quadratic", sp), "quadratic")
-    g = SampledFunction(sp, sample_closed_form("soft_ramp", sp), "soft_ramp")
+    f = obstacle_from_form("quadratic", sp)
+    g = obstacle_from_form("soft_ramp", sp)
     dp_limit(f, g, family, 2.0)
     # two per perturbed body, two for the base body
     assert len(family.bodies) == 7
