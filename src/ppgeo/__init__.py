@@ -26,10 +26,9 @@ from .corpus import (
 )
 from .duality import (
     DualPotential,
-    PrimalPotential,
+    SampledFunction,
     conjugate_1d,
     conjugate_nd,
-    convexify,
     to_dual,
     to_primal,
 )
@@ -43,7 +42,6 @@ from .geodesics import GeodesicCurve, curve_checks, geodesic
 from .grids import (
     ConfigurationError,
     MomentGrid,
-    SampledFunction,
     SpatialGrid,
     moment_grid,
 )
@@ -84,10 +82,9 @@ __all__ = [
     "pair_from_catalog",
     "random_dual_pairs",
     "DualPotential",
-    "PrimalPotential",
+    "SampledFunction",
     "conjugate_1d",
     "conjugate_nd",
-    "convexify",
     "to_dual",
     "to_primal",
     "EnvelopeRecord",
@@ -99,7 +96,6 @@ __all__ = [
     "geodesic",
     "ConfigurationError",
     "MomentGrid",
-    "SampledFunction",
     "SpatialGrid",
     "moment_grid",
     "SUITES",

@@ -19,7 +19,7 @@ DEFAULT_SCHEDULE = tuple(0.2 * 0.5**k for k in range(7))
 
 @dataclass(frozen=True)
 class Body:
-    """Interval (n=1) or convex polygon with CCW vertices (n=2)."""
+    """Interval (n=1) or strictly convex polygon with CCW vertices (n=2)."""
 
     vertices: tuple  # ((x,), ...) or ((x, y), ...)
 
@@ -33,8 +33,8 @@ class Body:
         else:
             if verts.shape[0] < 3:
                 raise ConfigurationError("a polygon needs at least 3 vertices")
-            if _shoelace(verts) <= 0:
-                raise ConfigurationError("polygon vertices must be CCW with positive area")
+            if not _strictly_convex_ccw(verts):
+                raise ConfigurationError("polygon vertices must be CCW and strictly convex")
         object.__setattr__(self, "vertices", tuple(map(tuple, verts)))
 
     @property
@@ -78,6 +78,19 @@ class Body:
 def _shoelace(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _strictly_convex_ccw(v: np.ndarray) -> bool:
+    """Each vertex lies strictly left of each edge that it does not end.
+
+    That rules out CW order, a repeated or collinear vertex, a dent and a double winding.
+    """
+    n = len(v)
+    edges = np.roll(v, -1, axis=0) - v
+    rel = v[None, :, :] - v[:, None, :]  # rel[i, j] = v_j - v_i
+    cross = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
+    ends = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    return bool((cross[~ends] > 0).all())
 
 
 def minkowski_sum(p: Body, q: Body, eps: float) -> Body:
@@ -143,9 +156,9 @@ class EpsilonFamily:
     base: ClassBody
     schedule: tuple
     cells: tuple
-    bodies: tuple = field(compare=False, default=())
-    grids: tuple = field(compare=False, default=())
-    volumes: tuple = field(compare=False, default=())
+    bodies: tuple = field(compare=False)
+    grids: tuple = field(compare=False)
+    volumes: tuple = field(compare=False)
 
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Body
-from .duality import DualPotential
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid
+from .duality import DualPotential, SampledFunction
+from .grids import ConfigurationError, MomentGrid, SpatialGrid
 
 INF = float("inf")
 # random_dual: the range of the number of affine pieces, of their slopes,

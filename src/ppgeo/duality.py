@@ -1,4 +1,8 @@
-"""Discrete Legendre transforms between spatial and moment representations.
+"""Spatial samples, Legendre duals and the discrete transforms between them.
+
+A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
+an envelope); a ``DualPotential`` is +inf off its body's moment cells.
+``to_dual`` is the one place that turns samples into a dual.
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull (``lower_hull``, the one
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body
-from .grids import ConfigurationError, MomentGrid, SampledFunction, SpatialGrid, tensor_nodes
+from .grids import ConfigurationError, MomentGrid, SpatialGrid, tensor_nodes
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,6 +176,31 @@ def second_difference_slack(values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class SampledFunction:
+    """Finite node values on a spatial grid, with the class body of its slopes if known."""
+
+    grid: SpatialGrid
+    values: np.ndarray = field(compare=False)
+    provenance: str = "derived"
+    body: Body | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.grid, SpatialGrid):
+            raise ConfigurationError("sampled functions live on a spatial grid")
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != self.grid.shape:
+            raise ConfigurationError(
+                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
+            )
+        if not np.isfinite(values).all():
+            raise ConfigurationError("sampled values must be finite")
+        object.__setattr__(self, "values", values)
+
+    def convexity_slack(self) -> float:
+        return second_difference_slack(self.values)
+
+
+@dataclass(frozen=True)
 class DualPotential:
     """A potential represented by its Legendre dual on a moment grid, +inf off ``grid.mask``."""
 
@@ -222,39 +251,20 @@ class DualPotential:
         return DualPotential(self.body, self.grid, self.values - c, self.provenance)
 
 
-@dataclass(frozen=True)
-class PrimalPotential:
-    """Spatial samples of a convex potential whose slopes lie in the body."""
-
-    grid: SpatialGrid
-    values: np.ndarray = field(compare=False)
-    body: Body | None = None
-    provenance: str = "derived"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ConfigurationError("primal values do not match the spatial grid")
-        if not np.isfinite(values).all():
-            raise ConfigurationError("primal potentials must be finite")
-        object.__setattr__(self, "values", values)
-
-    def convexity_slack(self) -> float:
-        return second_difference_slack(self.values)
-
-
-def to_dual(u: PrimalPotential, target: MomentGrid) -> DualPotential:
+def to_dual(u: SampledFunction, target: MomentGrid) -> DualPotential:
     """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the class body of u."""
     if u.body is None:
         raise ConfigurationError("to_dual needs the class body of u")
+    if u.grid.ndim != target.ndim:
+        raise ConfigurationError("the samples and the moment grid differ in dimension")
     vals = conjugate_nd(u.values, u.grid.axes(), target.axes())
     return DualPotential(u.body, target, vals, provenance=u.provenance)
 
 
-def to_primal(g: DualPotential, target: SpatialGrid) -> PrimalPotential:
+def to_primal(g: DualPotential, target: SpatialGrid) -> SampledFunction:
     """u(x) = max over finite moment nodes of (<p,x> - g(p))."""
     vals = conjugate_nd(g.values, g.grid.axes(), target.axes())
-    return PrimalPotential(target, vals, body=g.body, provenance=g.provenance)
+    return SampledFunction(target, vals, g.provenance, body=g.body)
 
 
 def clamped_hull(x: np.ndarray, values: np.ndarray,
@@ -277,12 +287,6 @@ def clamped_hull(x: np.ndarray, values: np.ndarray,
     out[left] = vs[0] + a * (x[left] - xs[0])
     out[right] = vs[-1] + b * (x[right] - xs[-1])
     return out
-
-
-def convexify(f: SampledFunction, body: Body) -> PrimalPotential:
-    """Largest grid-convex function below f (lower convex hull); idempotent."""
-    vals = convexify_moment_values(f.grid, f.values)
-    return PrimalPotential(f.grid, vals, body=body, provenance=f.provenance)
 
 
 def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) -> np.ndarray:

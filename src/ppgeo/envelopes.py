@@ -1,33 +1,34 @@
 """Constrained convex envelopes, rooftops, contact sets, measure identity.
 
-Envelopes are computed through the dual: ``envelope_dual`` restricts the
-conjugate f* to the body, which is all the distance routes read, and
-``envelope`` transforms back to the primal and its contact set, exactly in
-every dimension: the obstacle's lower hull read with slopes in the body.
-The envelope measure is ``ma_density`` of that primal (in 1d the clamped
-hull's atoms).  ``iterative_envelope``, one convexification of min(start,
-f), is the oracle.
+Envelopes are computed through the dual: ``envelope_dual`` is ``to_dual``
+of the obstacle on the body, the conjugate f* restricted to the body's
+cells, which is all the distance routes read.  ``envelope`` adds the primal
+and its contact set, exactly in every dimension: the obstacle's lower hull
+read with slopes in the body.  Obstacle and envelope primal are both
+``SampledFunction``s on the obstacle's spatial grid.  The envelope measure
+is ``ma_density`` of that primal (in 1d the clamped hull's atoms).
+``iterative_envelope``, one convexification of min(start, f), is the oracle.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bodies import Body
 from .duality import (
     DualPotential,
-    PrimalPotential,
+    SampledFunction,
     clamped_hull,
-    conjugate_nd,
-    convexify,
+    convexify_moment_values,
     lower_facets,
     lower_hull,
     max_affine,
     second_differences,
+    to_dual,
 )
-from .grids import ConfigurationError, MomentGrid, SampledFunction
+from .grids import ConfigurationError, MomentGrid
 from .measures import hessian_density, ma_density
 
 
@@ -52,12 +53,11 @@ def contact_tolerance(spacing: float, hessian_bound: float) -> float:
 @dataclass(frozen=True)
 class EnvelopeRecord:
     obstacle: SampledFunction
-    body: Body
-    primal: PrimalPotential
+    primal: SampledFunction
     dual: DualPotential
     contact_mask: np.ndarray = field(compare=False)
-    hessian_bound: float = np.inf
-    contact_tol: float = 0.0
+    hessian_bound: float
+    contact_tol: float
 
 
 def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
@@ -69,17 +69,14 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     dual = envelope_dual(f, body, grid)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     primal_vals = _primal_with_vertex_slopes(f, body, grid)
-    primal = PrimalPotential(f.grid, primal_vals, body=body, provenance=f.provenance)
+    primal = SampledFunction(f.grid, primal_vals, f.provenance, body=body)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
-    return EnvelopeRecord(f, body, primal, dual, primal.values >= f.values - tol, c_f, tol)
+    return EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol)
 
 
 def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPotential:
     """The envelope's dual: f* on the body's moment cells, +inf elsewhere."""
-    if f.grid.ndim != grid.ndim:
-        raise ConfigurationError("the obstacle and the moment grid differ in dimension")
-    star = conjugate_nd(f.values, f.grid.axes(), grid.axes())
-    return DualPotential(body, grid, star, provenance=f.provenance)
+    return to_dual(replace(f, body=body), grid)
 
 
 def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid) -> np.ndarray:
@@ -106,13 +103,12 @@ def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid)
     return max_affine(x, q, -max_affine(q, xh, -vh)).reshape(f.grid.shape)
 
 
-def iterative_envelope(f: SampledFunction, start: PrimalPotential) -> PrimalPotential:
+def iterative_envelope(f: SampledFunction, start: SampledFunction) -> SampledFunction:
     """Cross-check oracle: the hull of min(start, f), a fixpoint after one exact pass.
 
     From the dual-route envelope it checks that the envelope is convex and below f.
     """
-    low = SampledFunction(f.grid, np.minimum(start.values, f.values), f.provenance)
-    return convexify(low, body=start.body)
+    return replace(start, values=convexify_moment_values(f.grid, np.minimum(start.values, f.values)))
 
 
 def rooftop(u: DualPotential, *others: DualPotential) -> DualPotential:

@@ -1,10 +1,11 @@
-"""Uniform grids and sampled functions.
+"""Uniform grids.
 
 Everything downstream works on two kinds of grids: a spatial grid (lattice
-nodes of a box, endpoints included) carrying primal potentials, and a moment
-grid (cell centers of the bounding box of a convex body) carrying Legendre
-duals.  A ``SampledFunction`` is finite; a dual is +inf off its body's cells,
-a dedicated sentinel that every operation branches on explicitly.
+nodes of a box, endpoints included) carrying finite samples of potentials
+and obstacles, and a moment grid (cell centers of the bounding box of a
+convex body) carrying Legendre duals.  What lives on them is in
+``duality``: ``SampledFunction`` on a spatial grid, ``DualPotential`` on a
+moment grid.
 """
 from __future__ import annotations
 
@@ -133,24 +134,3 @@ def moment_grid(body, cells) -> MomentGrid:
         raise ConfigurationError("body has no interior at this resolution")
     weights = np.where(mask, float(np.prod(_spacing(lo, hi, cells))), 0.0)
     return MomentGrid(tuple(lo), tuple(hi), cells, mask, weights)
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Finite node values on a spatial grid."""
-
-    grid: SpatialGrid
-    values: np.ndarray = field(compare=False)
-    provenance: str = "derived"
-
-    def __post_init__(self):
-        if not isinstance(self.grid, SpatialGrid):
-            raise ConfigurationError("sampled functions live on a spatial grid")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ConfigurationError(
-                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ConfigurationError("sampled values must be finite")
-        object.__setattr__(self, "values", values)

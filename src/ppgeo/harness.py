@@ -45,8 +45,8 @@ class TheoremReport:
     suite: str
     description: str
     corpus: str
-    slacks: list = field(default_factory=list)
-    tolerance: float = 0.0
+    slacks: list
+    tolerance: float
     details: dict = field(default_factory=dict)
 
     @property

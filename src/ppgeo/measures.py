@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualPotential, PrimalPotential, gradient, second_differences, to_primal
+from .duality import DualPotential, SampledFunction, gradient, second_differences, to_primal
 from .grids import ConfigurationError, SpatialGrid, check_p
 
 # ma_mixed_pair: negative mixed mass allowed, as a fraction of the body volume
@@ -33,7 +33,6 @@ class AtomicMeasure:
 
     locations: np.ndarray = field(compare=False)
     masses: np.ndarray = field(compare=False)
-    provenance: str = "derived"
 
     @property
     def total_mass(self) -> float:
@@ -49,7 +48,7 @@ class DensityField:
 
     grid: SpatialGrid
     density: np.ndarray = field(compare=False)
-    clamped_mass: float = 0.0
+    clamped_mass: float
 
     @property
     def total(self) -> float:
@@ -82,7 +81,7 @@ def ma_atomic(u: DualPotential) -> AtomicMeasure:
     w = u.grid.weights.ravel()
     g = g.reshape(-1, n)
     keep = (w > 0) & np.isfinite(g).all(axis=1)
-    return AtomicMeasure(g[keep], w[keep], provenance=u.provenance)
+    return AtomicMeasure(g[keep], w[keep])
 
 
 def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -101,7 +100,7 @@ def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return rho
 
 
-def ma_density(u: PrimalPotential) -> DensityField:
+def ma_density(u: SampledFunction) -> DensityField:
     """Discrete Hessian density on the spatial grid; negatives clamped."""
     grid = u.grid
     rho = hessian_density(u.values, grid)
@@ -123,7 +122,7 @@ def ma_mixed_pair(u: DualPotential, v: DualPotential,
         raise ConfigurationError("mixed pair needs a common moment grid")
     pu = to_primal(u, spatial_grid)
     pv = to_primal(v, spatial_grid)
-    mid = PrimalPotential(spatial_grid, 0.5 * (pu.values + pv.values), body=u.body)
+    mid = SampledFunction(spatial_grid, 0.5 * (pu.values + pv.values))
     rho_mid = ma_density(mid).density
     rho_u = ma_density(pu).density
     rho_v = ma_density(pv).density
@@ -138,7 +137,7 @@ def ma_mixed_pair(u: DualPotential, v: DualPotential,
     mixed = np.maximum(mixed, 0.0)
     w = mixed.ravel() * cell
     keep = w > 0
-    return AtomicMeasure(spatial_grid.nodes()[keep], w[keep], provenance="mixed")
+    return AtomicMeasure(spatial_grid.nodes()[keep], w[keep])
 
 
 def _relative_values(u: DualPotential, points: np.ndarray) -> np.ndarray:

@@ -21,16 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body, EpsilonFamily
-from .duality import DualPotential, convexify_moment_values
+from .duality import DualPotential, SampledFunction, convexify_moment_values
 from .envelopes import envelope_dual, rooftop
-from .grids import (
-    ConfigurationError,
-    MomentGrid,
-    SampledFunction,
-    SpatialGrid,
-    check_p,
-    moment_grid,
-)
+from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p, moment_grid
 from .measures import energy, i_p, require_minimal_singularities
 
 FORMAT_VERSION = 1
@@ -160,7 +153,13 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
             and increments[-1] <= 0.5 * increments.max()
         )
     )
-    report = DistanceReport(
+    # cross-route deviation against the limiting-class endpoint formula
+    base_grid = moment_grid(family.base.p_body, family.cells)
+    u0 = envelope_dual(f0, family.base.p_body, base_grid)
+    u1 = envelope_dual(f1, family.base.p_body, base_grid)
+    d_end = dp_endpoint(u0, u1, p)
+    d_oracle = dp_dual_oracle(u0, u1, p)
+    return DistanceReport(
         p=p,
         value=value,
         route="epsilon_limit",
@@ -168,20 +167,13 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         fit_residual=res,
         last_increment=float(increments[-1]) if increments.size else 0.0,
         converged=converged,
+        cross_route={
+            "endpoint": d_end,
+            "dual_oracle": d_oracle,
+            "deviation_endpoint": abs(value - d_end),
+            "deviation_oracle": abs(value - d_oracle),
+        },
     )
-    # cross-route deviation against the limiting-class endpoint formula
-    base_grid = moment_grid(family.base.p_body, family.cells)
-    u0 = envelope_dual(f0, family.base.p_body, base_grid)
-    u1 = envelope_dual(f1, family.base.p_body, base_grid)
-    d_end = dp_endpoint(u0, u1, p)
-    d_oracle = dp_dual_oracle(u0, u1, p)
-    report.cross_route = {
-        "endpoint": d_end,
-        "dual_oracle": d_oracle,
-        "deviation_endpoint": abs(value - d_end),
-        "deviation_oracle": abs(value - d_oracle),
-    }
-    return report
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -237,17 +229,13 @@ def dp_singular(u0: DualPotential, u1: DualPotential, p: float) -> DistanceRepor
     if len(increments) >= 2:
         tail = increments[-2:]
         converged = tail[1] <= tail[0] + 1e-12
-    report = DistanceReport(
+    return DistanceReport(
         p=p,
         value=table[-1][2],
         route="singular_limit",
         table=table,
         last_increment=increments[-1] if increments else 0.0,
         converged=converged,
+        cross_route={"cauchy_bounds": ip_bounds, "increments": increments},
     )
-    report.cross_route = {
-        "cauchy_bounds": ip_bounds,
-        "increments": increments,
-    }
-    return report
 

@@ -28,6 +28,17 @@ def test_polygon_orientation_enforced(square):
         Body(list(reversed(square.vertices)))
 
 
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)],
+    [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)],
+    [(np.cos(a), np.sin(a)) for a in 4 * np.pi * np.arange(5) / 5],
+], ids=["dart", "repeated-vertex", "collinear-vertex", "pentagram"])
+def test_polygon_must_be_strictly_convex(vertices):
+    with pytest.raises(ConfigurationError, match="strictly convex"):
+        Body(vertices)
+
+
 def test_polygon_volume(square):
     assert square.volume() == pytest.approx(1.0)
 

@@ -137,6 +137,14 @@ def test_verify_report_file(config, tmp_path, capsys):
     assert payload["suites"][0]["verdict"] == "pass"
 
 
+# 2d configs for polygon bodies; a dart is a square with a dent, so not convex
+PLANE = {"dimension": 2, "moment_cells": 16,
+         "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [16, 16]}}
+BOX = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+P_DART = [[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]]
+Q_DART = [[-1, -1], [1, -1], [1, 1], [0, 0.5], [-1, 1]]
+
+
 @pytest.mark.parametrize(
     "cfg, argv",
     [
@@ -154,11 +162,14 @@ def test_verify_report_file(config, tmp_path, capsys):
         ({"obstacles": ["dual_quadratic"]}, ["envelope"]),
         ({}, ["corpus", "--out", "{tmp}/missing/x.json"]),
         ({}, ["distance", "--out", "{tmp}"]),
+        ({**PLANE, "p_body": P_DART, "q_body": BOX}, ["distance"]),
+        ({**PLANE, "p_body": BOX, "q_body": Q_DART}, ["distance"]),
     ],
     ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
          "negative-seed-index", "moment-cells-not-integer", "spatial-without-hi",
          "limit-with-one-obstacle", "one-entry-schedule", "limit-with-dual-obstacles",
-         "envelope-of-a-dual-obstacle", "out-in-missing-directory", "out-is-a-directory"],
+         "envelope-of-a-dual-obstacle", "out-in-missing-directory", "out-is-a-directory",
+         "dart-p-body", "dart-q-body"],
 )
 def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     path = tmp_path / "config.json"

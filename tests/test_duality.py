@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from ppgeo import (
     Body,
+    ConfigurationError,
     DualPotential,
     SampledFunction,
     SpatialGrid,
     conjugate_1d,
     conjugate_nd,
-    convexify,
     default_class_body,
     dual_from_form,
     moment_grid,
@@ -104,7 +104,7 @@ def test_min_max_exchange(seed):
     proof = to_primal(roof, SPATIAL).values
     pmin = np.minimum(to_primal(u, SPATIAL).values, to_primal(v, SPATIAL).values)
     assert (proof <= pmin + 1e-9).all()
-    hull = convexify(SampledFunction(SPATIAL, pmin), body=BODY).values
+    hull = convexify_moment_values(SPATIAL, pmin)
     # slope quantization tilts the reconstruction by O(h_m * |x|)
     tol = 3 * max(GRID.spacing) * float(np.abs(SPATIAL.axes()[0]).max())
     assert np.abs(proof - hull).max() <= tol
@@ -138,6 +138,26 @@ def test_eval_primal_matches_to_primal():
     direct = u.eval_primal(pts)
     via_grid = to_primal(u, SPATIAL).values
     assert np.allclose(direct, via_grid, atol=1e-12)
+
+
+def test_to_primal_samples_on_a_spatial_grid_only():
+    u = random_dual(np.random.default_rng(5), BODY, GRID)
+    with pytest.raises(ConfigurationError, match="spatial grid"):
+        to_primal(u, GRID)
+
+
+def test_to_dual_needs_a_moment_grid_of_the_samples_dimension():
+    square = default_class_body(2).p_body
+    f = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic", body=square)
+    with pytest.raises(ConfigurationError, match="differ in dimension"):
+        to_dual(f, moment_grid(square, 16))
+
+
+def test_to_dual_keeps_the_body_that_to_primal_carries():
+    u = random_dual(np.random.default_rng(7), BODY, GRID)
+    primal = to_primal(u, SPATIAL)
+    assert primal.body == u.body
+    assert to_dual(primal, GRID).body == u.body
 
 
 def test_convexify_moment_values_idempotent_on_convex():

@@ -231,8 +231,8 @@ def test_measure_identity_is_exact_for_admissible_obstacles(name, eps):
 
 def pushforward_density(rec):
     """Oracle: the body pushed forward through a 16x-refined f*, cloud-in-cell deposit."""
-    fine = moment_grid(rec.body, tuple(16 * c for c in rec.dual.grid.cells))
-    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.body, fine))
+    fine = moment_grid(rec.dual.body, tuple(16 * c for c in rec.dual.grid.cells))
+    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.dual.body, fine))
     points, masses, grid = atoms.locations, atoms.masses, rec.obstacle.grid
     dens = np.zeros(grid.shape)
     pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]

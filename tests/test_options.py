@@ -4,7 +4,9 @@ A default that no product call overrides is a constant in disguise: it
 multiplies the configurations that tests would have to cover while no
 command, suite or benchmark runs them.  A default that every call overrides
 is never used: the parameter is required in all but name.  The scan reads
-every function definition under ``src/ppgeo``.  A parameter counts as set
+every function definition under ``src/ppgeo`` and every dataclass field
+with a default, as a parameter of a call to the class; a bare ``field(...)``
+without ``default`` or ``default_factory`` is required.  A parameter counts as set
 when a call under ``src/`` or ``perfbench/`` to a function of the same name
 passes it by keyword or by position, or passes ``*args``/``**kwargs``; its
 default counts as used when some call under ``src/``, ``tests/`` or
@@ -26,11 +28,36 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, field, position in the constructor) of each dataclass field with a default."""
+    out = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            fields = [a for a in cls.body if isinstance(a, ast.AnnAssign)]
+            out += [(cls.name, a.target.id, i) for i, a in enumerate(fields)
+                    if _has_default(a.value)]
+    return out
+
+
 def defaulted_parameters() -> list[tuple[str, str, str, int | None, bool]]:
-    """(module, function, parameter, position or None if keyword-only, is a method)."""
+    """(module, function or class, parameter, position or None if keyword-only, is a method)."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
+        out += [(path.stem, cls, name, i, False) for cls, name, i in dataclass_fields(tree)]
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)}
         for fn in ast.walk(tree):

@@ -25,7 +25,8 @@ PRODUCT = (PACKAGE, ROOT / "perfbench")
 # name -> why it stays without a product caller
 ALLOWED = {
     "conjugate_oracle": "the O(N*M) oracle that tests compare conjugate_1d against",
-    "iterative_envelope": "the convexify(min(start, f)) oracle that tests compare envelope against",
+    "iterative_envelope": "the hull of min(start, f) (convexify_moment_values), the oracle "
+                          "that tests compare envelope against",
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
