@@ -2,15 +2,16 @@
 
 A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
 an envelope); a ``DualPotential`` is +inf off its body's moment cells.
-``to_dual`` is the one place that turns samples into a dual.
+``to_dual`` is the one place that turns samples into a dual, and
+``to_primal`` the one that samples a dual back on a spatial grid.
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull (``lower_hull``, the one
 reader of the monotone chain) and then resolves every query slope with a
 single sorted lookup.  A 1d double transform over a slope interval is read
 off the same hull (``clamped_hull``).  ``conjugate_nd`` is one 1d pass per
-axis, and ``DualPotential.eval_primal`` is separable in every dimension:
-one 1d conjugate per column of the dual along the first axis.  One
+axis, and ``DualPotential.eval_primal`` is the first of those passes, at
+the query points, followed by a max over the remaining axes.  One
 convexification (``convexify_moment_values``) serves spatial and moment
 grids; in 2d it reads the lower facets of the 3d hull (``lower_facets``, Qhull)
 through ``max_affine``, which is also the O(N*M) oracle ``conjugate_oracle``.
@@ -226,25 +227,20 @@ class DualPotential:
     def eval_primal(self, points: np.ndarray) -> np.ndarray:
         """u(x) = max over finite moment nodes of (<p,x> - u*(p)), points shaped (M, ndim).
 
-        Separable: the dual splits into columns along the first axis, one per
-        value p' of the remaining coordinates; each column's 1d conjugate at
-        the points' first coordinate, plus <p', x'>, is the column's max, and
-        u is the max over the columns.  In 1d there is one column.
+        Separable: one 1d conjugate pass along the first axis, at the points'
+        first coordinate, gives the max over each column (one column per
+        value p' of the remaining coordinates, -inf where it has no finite
+        node); u is the max over the columns of that plus <p', x'>.  In 1d
+        there is one column and nothing is added, not even 0.0.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.ndim:
             raise ConfigurationError(f"points must have {self.grid.ndim} columns")
         first, *rest = self.grid.axes()
-        columns = self.values.reshape(len(first), -1).T
-        others = tensor_nodes(rest) if rest else np.zeros((1, 0))
-        out = np.full(pts.shape[0], -np.inf)
-        for column, p_rest in zip(columns, others):
-            if np.isfinite(column).any():
-                # a sum from the conjugate: in 1d nothing is added, not even 0.0
-                col = sum((p * x for p, x in zip(p_rest, pts[:, 1:].T)),
-                          conjugate_1d(first, column, pts[:, 0]))
-                out = np.maximum(out, col)
-        return out
+        columns = _conjugate_along_axis(self.values, first, pts[:, 0], 0)
+        if not rest:
+            return columns
+        return (columns + pts[:, 1:] @ tensor_nodes(rest).T).max(axis=1)
 
     def shift(self, c: float) -> "DualPotential":
         """Primal shift u + c, i.e. dual values u* - c."""

@@ -29,7 +29,7 @@ from .duality import (
     to_dual,
 )
 from .grids import ConfigurationError, MomentGrid
-from .measures import hessian_density, ma_density
+from .measures import ma_density
 
 
 def estimate_hessian_bound(f: SampledFunction) -> float:
@@ -127,8 +127,8 @@ def measure_identity_residual(rec: EnvelopeRecord) -> float:
     the envelope's measure lives on the contact set and agrees with f's there.
     """
     rho_env = ma_density(rec.primal).density
-    # the obstacle need not be convex; compute its density field directly
-    rho_f = np.maximum(hessian_density(rec.obstacle.values, rec.obstacle.grid), 0.0)
+    # the obstacle need not be convex: its density is clamped at 0 like the envelope's
+    rho_f = ma_density(rec.obstacle).density
     cell = float(np.prod(rec.primal.grid.spacing))
     return float(np.sum(np.abs(rho_env - rec.contact_mask * rho_f)) * cell)
 

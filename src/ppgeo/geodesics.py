@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualPotential, conjugate_nd, gradient, second_differences
+from .duality import DualPotential, gradient, second_difference_slack, to_primal
 from .grids import ConfigurationError, SpatialGrid
 
 # the times at which curve_checks samples the primal curve
@@ -46,7 +46,7 @@ class GeodesicCurve:
                              provenance="geodesic")
 
     def primal_at(self, t: float, grid: SpatialGrid) -> np.ndarray:
-        return conjugate_nd(self.dual_at(t), self.grid.axes(), grid.axes())
+        return to_primal(self.potential_at(t), grid).values
 
     def dual_difference(self) -> np.ndarray:
         """u1* - u0* per moment node; the dual-cell velocity, 0 where both are +inf."""
@@ -93,7 +93,7 @@ def curve_checks(curve: GeodesicCurve, grid: SpatialGrid) -> dict:
 
     # size of the most negative second difference over space-time axes and
     # diagonals; 0.0 (not -0.0) when none is negative
-    violation = max(0.0, -min(float(d.min()) for d in second_differences(samples)))
+    violation = max(0.0, -second_difference_slack(samples))
 
     dt = ts[1] - ts[0]
     ma_residual = _spacetime_ma_residual(samples, grid, dt)

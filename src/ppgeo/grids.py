@@ -25,12 +25,6 @@ def check_p(p: float) -> None:
         raise ConfigurationError(f"need a finite p >= 1, got {p}")
 
 
-def _as_tuple(x) -> tuple:
-    if np.isscalar(x):
-        return (float(x),)
-    return tuple(float(v) for v in x)
-
-
 def _spacing(lo, hi, cells) -> tuple:
     return tuple((h - l) / c for l, h, c in zip(lo, hi, cells))
 
@@ -56,10 +50,9 @@ class SpatialGrid:
     cells: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _as_tuple(self.lo))
-        object.__setattr__(self, "hi", _as_tuple(self.hi))
-        cells = (self.cells,) if np.isscalar(self.cells) else tuple(int(c) for c in self.cells)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
+        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         n = len(self.lo)
         if n not in (1, 2) or len(self.hi) != n or len(self.cells) != n:
             raise ConfigurationError("grid dimension must be 1 or 2 and consistent")

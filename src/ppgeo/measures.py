@@ -1,9 +1,11 @@
 """Monge-Ampère measures, mixed measures, the energy functional and I_p.
 
 Two independent discrete realizations are kept deliberately: the atomic
-pushforward (one atom per finite moment node at the dual gradient, exact
-mass conservation) and the Hessian density on the spatial grid (supports
-pointwise comparisons).  Cross-checks between them guard both.
+pushforward (``ma_atomic``: one atom per finite moment node at the dual
+gradient, exact mass conservation) and the Hessian density on the spatial
+grid (``ma_density``, the one second-difference determinant: it supports
+pointwise comparisons, and the envelope's measure identity and the mixed
+measure both read it).  Cross-checks between them guard both.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ class PolarizationError(ValueError):
     """Mixed measure came out negative beyond tolerance."""
 
 
-class RequiresTruncationError(ValueError):
+class RequiresTruncationError(ConfigurationError):
     """Operation needs a finite dual; truncate singular inputs first."""
 
 
@@ -84,8 +86,9 @@ def ma_atomic(u: DualPotential) -> AtomicMeasure:
     return AtomicMeasure(g[keep], w[keep])
 
 
-def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Discrete Hessian determinant at the interior nodes, unclamped; 0 on the border."""
+def ma_density(u: SampledFunction) -> DensityField:
+    """Discrete Hessian determinant at the interior nodes, 0 on the border; negatives clamped."""
+    grid, values = u.grid, u.values
     rho = np.zeros_like(values)
     inner = (slice(1, -1),) * values.ndim
     d = list(second_differences(values))
@@ -97,13 +100,6 @@ def hessian_density(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
         # v_xy from the two diagonals: d_(1,1) - d_(1,-1) is the four-corner stencil
         vxy = (d[2] - d[3]) / (4 * hx * hy)
         rho[inner] = pure[0][:, 1:-1] * pure[1][1:-1, :] - vxy * vxy
-    return rho
-
-
-def ma_density(u: SampledFunction) -> DensityField:
-    """Discrete Hessian density on the spatial grid; negatives clamped."""
-    grid = u.grid
-    rho = hessian_density(u.values, grid)
     clamped = float(np.abs(rho[rho < 0]).sum() * np.prod(grid.spacing))
     rho = np.maximum(rho, 0.0)
     return DensityField(grid, rho, clamped_mass=clamped)

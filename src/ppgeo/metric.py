@@ -40,10 +40,6 @@ def sig12(x):
         return {k: sig12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [sig12(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return sig12(x.tolist())
     return x
 
 
@@ -112,6 +108,8 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
     """Same quadrature through an independent accumulation path (fsum)."""
     if u0.grid != u1.grid:
         raise ConfigurationError("dp_dual_oracle needs a common moment grid")
+    require_minimal_singularities(u0)
+    require_minimal_singularities(u1)
     check_p(p)
     vol = u0.body.volume()
     w = u0.grid.weights.ravel()
@@ -165,7 +163,7 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         route="epsilon_limit",
         table=table,
         fit_residual=res,
-        last_increment=float(increments[-1]) if increments.size else 0.0,
+        last_increment=float(increments[-1]),
         converged=converged,
         cross_route={
             "endpoint": d_end,
@@ -225,17 +223,14 @@ def dp_singular(u0: DualPotential, u1: DualPotential, p: float) -> DistanceRepor
         trunc_prev = (t0, t1, d)
         # the table's middle column holds the (fixed) class volume here
         table.append((cap, u0.body.volume(), d))
-    converged = True
-    if len(increments) >= 2:
-        tail = increments[-2:]
-        converged = tail[1] <= tail[0] + 1e-12
     return DistanceReport(
         p=p,
         value=table[-1][2],
         route="singular_limit",
         table=table,
-        last_increment=increments[-1] if increments else 0.0,
-        converged=converged,
+        last_increment=increments[-1],
+        # settled when the last of the four increments does not grow
+        converged=increments[-1] <= increments[-2] + 1e-12,
         cross_route={"cauchy_bounds": ip_bounds, "increments": increments},
     )
 

@@ -143,6 +143,8 @@ PLANE = {"dimension": 2, "moment_cells": 16,
 BOX = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 P_DART = [[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]]
 Q_DART = [[-1, -1], [1, -1], [1, 1], [0, 0.5], [-1, 1]]
+# on [0, 1.5] the log barrier of [0, 1] is +inf on a third of the body's cells
+SINGULAR = {"p_body": [[0], [1.5]], "q_body": [[-1], [1]], "pair": "log_barrier_singular"}
 
 
 @pytest.mark.parametrize(
@@ -164,12 +166,18 @@ Q_DART = [[-1, -1], [1, -1], [1, 1], [0, 0.5], [-1, 1]]
         ({}, ["distance", "--out", "{tmp}"]),
         ({**PLANE, "p_body": P_DART, "q_body": BOX}, ["distance"]),
         ({**PLANE, "p_body": BOX, "q_body": Q_DART}, ["distance"]),
+        (SINGULAR, ["distance", "--route", "endpoint"]),
+        (SINGULAR, ["distance", "--route", "oracle"]),
+        (SINGULAR, ["distance", "--route", "energy", "--p", "1"]),
+        (SINGULAR, ["geodesic"]),
+        ({**SINGULAR, "potential": "dual_log_barrier"}, ["energy"]),
     ],
     ids=["unknown-key", "missing-file", "p-nan", "p-inf", "oracle-p-below-1",
          "negative-seed-index", "moment-cells-not-integer", "spatial-without-hi",
          "limit-with-one-obstacle", "one-entry-schedule", "limit-with-dual-obstacles",
          "envelope-of-a-dual-obstacle", "out-in-missing-directory", "out-is-a-directory",
-         "dart-p-body", "dart-q-body"],
+         "dart-p-body", "dart-q-body", "singular-endpoint", "singular-oracle",
+         "singular-energy-route", "singular-geodesic", "singular-energy"],
 )
 def test_config_error_exit_code(capsys, tmp_path, cfg, argv):
     path = tmp_path / "config.json"

@@ -140,6 +140,14 @@ def test_eval_primal_matches_to_primal():
     assert np.allclose(direct, via_grid, atol=1e-12)
 
 
+@pytest.mark.parametrize("body", [BODY, default_class_body(2).p_body], ids=["1d", "2d"])
+def test_eval_primal_on_no_points_returns_no_values(body):
+    # a mixed measure with no mass hands energy zero atoms
+    u = dual_from_form("dual_quadratic", body, moment_grid(body, 16))
+    out = u.eval_primal(np.zeros((0, body.ndim)))
+    assert out.shape == (0,)
+
+
 def test_to_primal_samples_on_a_spatial_grid_only():
     u = random_dual(np.random.default_rng(5), BODY, GRID)
     with pytest.raises(ConfigurationError, match="spatial grid"):

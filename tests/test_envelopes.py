@@ -32,7 +32,6 @@ from ppgeo.envelopes import (
     iterative_envelope,
 )
 from ppgeo.grids import ConfigurationError, tensor_nodes
-from ppgeo.measures import hessian_density
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -252,7 +251,7 @@ def test_2d_measure_identity_matches_the_refined_pushforward():
     ripple = sum(0.1 * np.cos(kx * x[..., 0] + ky * x[..., 1] + ph) for kx, ky, ph in waves)
     f = SampledFunction(spatial, 0.5 * (x**2).sum(-1) + ripple, "ripple")
     rec = envelope(f, square, moment_grid(square, 32))
-    rho_f = np.maximum(hessian_density(f.values, spatial), 0.0)
+    rho_f = ma_density(f).density
     cell = float(np.prod(spatial.spacing))
     old = float(np.sum(np.abs(pushforward_density(rec) - rec.contact_mask * rho_f)) * cell)
     assert abs(measure_identity_residual(rec) - old) <= 0.01 * old

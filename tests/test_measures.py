@@ -11,6 +11,7 @@ from ppgeo import (
     i_p,
     ma_atomic,
     ma_density,
+    ma_mixed_pair,
     moment_grid,
     pair_from_catalog,
     to_primal,
@@ -122,3 +123,13 @@ def test_2d_energy_affine_dual():
     u = DualPotential(klass.p_body, grid, P1 + 0.5 * P2, "affine")
     # dual oracle: -(1/vol) * integral of (p1 + p2/2) over the unit square
     assert energy(u, sp) == pytest.approx(-0.75, abs=5e-3)
+
+
+def test_2d_energy_with_a_massless_mixed_measure():
+    # on [1, 2]^2 the primal of dual_zero is affine, so the mixed measure has
+    # no atoms and energy evaluates the primal at zero points
+    klass = default_class_body(2)
+    u = dual_from_form("dual_zero", klass.p_body, moment_grid(klass.p_body, 16))
+    sp = SpatialGrid((1.0, 1.0), (2.0, 2.0), (8, 8))
+    assert ma_mixed_pair(u, u, sp).locations.shape == (0, 2)
+    assert energy(u, sp) == 0.0

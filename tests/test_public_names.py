@@ -13,10 +13,20 @@ because the benchmark rebinds functions by name.
 The match is by name only: a definition counts as used when anything of the
 same name is used, whatever it is bound to, so the scan finds the roots of
 dead code, and what only they call shows up once they are gone.
+
+The same scan pins the callers of the conjugate kernels: ``conjugate_1d``
+runs only inside ``_conjugate_along_axis``, which ``conjugate_nd`` runs once
+per axis and ``DualPotential.eval_primal`` once, at its query points; and
+``conjugate_nd`` runs only in the two transforms ``to_dual`` and
+``to_primal``.  A second copy of the conjugate loop shows up as a new caller.
+A load is attributed to the innermost definition whose lines hold it, as
+``module.name``, or to the module when no definition holds it.
 """
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ppgeo"
@@ -27,6 +37,12 @@ ALLOWED = {
     "conjugate_oracle": "the O(N*M) oracle that tests compare conjugate_1d against",
     "iterative_envelope": "the hull of min(start, f) (convexify_moment_values), the oracle "
                           "that tests compare envelope against",
+}
+# name -> the only places in the package that may load it
+CALLERS = {
+    "conjugate_1d": {"duality._conjugate_along_axis"},
+    "_conjugate_along_axis": {"duality.conjugate_nd", "duality.eval_primal"},
+    "conjugate_nd": {"duality.to_dual", "duality.to_primal"},
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
@@ -99,3 +115,23 @@ def test_allowlist_holds_only_unused_names():
     assert set(ALLOWED) <= unused_names(), (
         f"used by product code now: {sorted(set(ALLOWED) - unused_names())}"
     )
+
+
+def callers(name: str) -> set[str]:
+    """Where ``name`` is loaded in the package: module.name of the innermost
+    definition around each load, or the module alone."""
+    spans = definitions()
+    found = set()
+    for path, line in uses().get(name, []):
+        if path.parent != PACKAGE:
+            continue
+        around = [(node.end_lineno - node.lineno, defined)
+                  for where, defined, node in spans
+                  if where == path and node.lineno <= line <= node.end_lineno]
+        found.add(f"{path.stem}.{min(around)[1]}" if around else path.stem)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_conjugate_kernel_has_only_its_designed_callers(name):
+    assert callers(name) == CALLERS[name]
