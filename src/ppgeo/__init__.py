@@ -30,6 +30,7 @@ from .duality import (
     conjugate_1d,
     conjugate_nd,
     to_dual,
+    to_duals,
     to_primal,
 )
 from .envelopes import (
@@ -86,6 +87,7 @@ __all__ = [
     "conjugate_1d",
     "conjugate_nd",
     "to_dual",
+    "to_duals",
     "to_primal",
     "EnvelopeRecord",
     "envelope",

@@ -2,7 +2,8 @@
 
 A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
 an envelope); a ``DualPotential`` is +inf off its body's moment cells.
-``to_dual`` is the one place that turns samples into a dual, and
+``to_duals`` is the one place that turns samples into duals, one per
+body, from one transform (``to_dual`` is its one-body case), and
 ``to_primal`` the one that samples a dual back on a spatial grid.
 
 The forward transform of a sampled function equals the transform of its
@@ -247,14 +248,32 @@ class DualPotential:
         return DualPotential(self.body, self.grid, self.values - c, self.provenance)
 
 
+def to_duals(u: SampledFunction, bodies, grids) -> list[DualPotential]:
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on each body's moment grid.
+
+    One ``conjugate_nd`` call runs on the concatenated query axes, so every
+    line of u is hulled once, whatever the number of bodies.  Each query is
+    resolved on its own, so dual i is bit for bit the one-target transform:
+    its grid's block of the result (in 2d the diagonal block; the blocks
+    that pair one grid's first axis with another's second are dropped).
+    """
+    if not grids or len(bodies) != len(grids):
+        raise ConfigurationError("to_duals needs one moment grid per body, and at least one")
+    if any(g.ndim != u.grid.ndim for g in grids):
+        raise ConfigurationError("the samples and the moment grid differ in dimension")
+    queries = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
+    vals = conjugate_nd(u.values, u.grid.axes(), queries)
+    ends = np.cumsum([g.shape for g in grids], axis=0)
+    return [DualPotential(body, g, vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))],
+                          provenance=u.provenance)
+            for body, g, end in zip(bodies, grids, ends)]
+
+
 def to_dual(u: SampledFunction, target: MomentGrid) -> DualPotential:
     """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the class body of u."""
     if u.body is None:
         raise ConfigurationError("to_dual needs the class body of u")
-    if u.grid.ndim != target.ndim:
-        raise ConfigurationError("the samples and the moment grid differ in dimension")
-    vals = conjugate_nd(u.values, u.grid.axes(), target.axes())
-    return DualPotential(u.body, target, vals, provenance=u.provenance)
+    return to_duals(u, [u.body], [target])[0]
 
 
 def to_primal(g: DualPotential, target: SpatialGrid) -> SampledFunction:

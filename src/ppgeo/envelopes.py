@@ -1,12 +1,14 @@
 """Constrained convex envelopes, rooftops, contact sets, measure identity.
 
-Envelopes are computed through the dual: ``envelope_dual`` is ``to_dual``
-of the obstacle on the body, the conjugate f* restricted to the body's
-cells, which is all the distance routes read.  ``envelope`` adds the primal
-and its contact set, exactly in every dimension: the obstacle's lower hull
-read with slopes in the body.  Obstacle and envelope primal are both
-``SampledFunction``s on the obstacle's spatial grid.  The envelope measure
-is ``ma_density`` of that primal (in 1d the clamped hull's atoms).
+Envelopes are computed through the dual.  The envelope's dual is f*
+restricted to the body's cells, which is all the distance routes read; they
+take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
+set for a list of bodies, exactly in every dimension: the obstacle's lower
+hull (in 2d its lower facets, found once for all the bodies) read with
+slopes in each body, beside one ``to_duals`` call.  Obstacle and envelope
+primal are both ``SampledFunction``s on the obstacle's spatial grid.  The
+envelope measure is ``ma_density`` of that primal (in 1d the clamped hull's
+atoms).
 ``iterative_envelope``, one convexification of min(start, f), is the oracle.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .duality import (
     lower_hull,
     max_affine,
     second_differences,
-    to_dual,
+    to_duals,
 )
 from .grids import ConfigurationError, MomentGrid
 from .measures import ma_density
@@ -60,36 +62,43 @@ class EnvelopeRecord:
     contact_tol: float
 
 
+def envelopes(f: SampledFunction, bodies, grids,
+              hessian_bound: float | None) -> list[EnvelopeRecord]:
+    """The envelope of f over each body, from one ``to_duals`` call and one hull of f."""
+    duals = to_duals(f, bodies, grids)
+    c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
+    tol = contact_tolerance(max(f.grid.spacing), c_f)
+    # in 2d every body reads the obstacle's lower facets, found once
+    facets = lower_facets(f.grid.nodes(), f.values.ravel()) if f.grid.ndim == 2 else None
+    records = []
+    for body, dual in zip(bodies, duals):
+        primal_vals = _primal_with_vertex_slopes(f, body, facets)
+        primal = SampledFunction(f.grid, primal_vals, f.provenance, body=body)
+        records.append(EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol))
+    return records
+
+
 def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
              hessian_bound: float | None = None) -> EnvelopeRecord:
     """Largest convex function <= f with slopes in the body.
 
     Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)).
     """
-    dual = envelope_dual(f, body, grid)
-    c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
-    primal_vals = _primal_with_vertex_slopes(f, body, grid)
-    primal = SampledFunction(f.grid, primal_vals, f.provenance, body=body)
-    tol = contact_tolerance(max(f.grid.spacing), c_f)
-    return EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol)
+    return envelopes(f, [body], [grid], hessian_bound)[0]
 
 
-def envelope_dual(f: SampledFunction, body: Body, grid: MomentGrid) -> DualPotential:
-    """The envelope's dual: f* on the body's moment cells, +inf elsewhere."""
-    return to_dual(replace(f, body=body), grid)
-
-
-def _primal_with_vertex_slopes(f: SampledFunction, body: Body, grid: MomentGrid) -> np.ndarray:
+def _primal_with_vertex_slopes(f: SampledFunction, body: Body, facets) -> np.ndarray:
     """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes, exactly.
 
     In 2d the concave, piecewise affine q -> <q,x> - f*(q) peaks at a body vertex,
-    at a kink of f* on a body edge or at a lower-facet slope inside the body.
+    at a kink of f* on a body edge or at a lower-facet slope inside the body;
+    ``facets`` are the obstacle's ``lower_facets`` (None in 1d).
     """
-    if grid.ndim == 1:
+    if facets is None:
         (a,), (b,) = body.bounding_box()
         return clamped_hull(f.grid.axes()[0], f.values, a, b)
     x, v = f.grid.nodes(), f.values.ravel()
-    slopes, _, hull = lower_facets(x, v)
+    slopes, _, hull = facets
     xh, vh, corners = x[hull], v[hull], body.vertex_array  # f* is a max over the hull vertices
     q = [corners, slopes[body.contains(slopes)]]
     for a, b in zip(corners, np.roll(corners, -1, axis=0)):

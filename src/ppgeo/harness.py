@@ -15,8 +15,8 @@ import numpy as np
 
 from .bodies import ClassBody, EpsilonFamily
 from .corpus import CLOSED_FORMS, dual_from_form, obstacle_from_form
-from .duality import DualPotential, convexify_moment_values
-from .envelopes import envelope, envelope_dual, rooftop
+from .duality import DualPotential, convexify_moment_values, to_duals
+from .envelopes import envelopes, rooftop
 from .geodesics import geodesic
 from .grids import MomentGrid, SpatialGrid
 from .measures import i_p, ma_density
@@ -261,11 +261,14 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     obstacles = EPSILON_OBSTACLES
     bounds = [CLOSED_FORMS[o].hessian_bound for o in obstacles]
     fs = [obstacle_from_form(o, lab.spatial) for o in obstacles]
+    # the limit body, then the opening class: one transform and one hull per obstacle
+    bodies = (lab.klass.p_body,) + lab.family.bodies
+    grids = (lab.grid,) + lab.family.grids
+    envs = envelopes(fs[0], bodies, grids, bounds[0])
+    others = to_duals(fs[1], bodies, grids)
 
-    def quantities(body, grid):
+    def quantities(env, other):
         """I_p, the envelope density and the contact-masked velocity integrand."""
-        env = envelope(fs[0], body, grid, hessian_bound=bounds[0])
-        other = envelope_dual(fs[1], body, grid)
         rho = ma_density(env.primal).density
         vel = np.abs(
             geodesic(env.dual, other).primal_at(VELOCITY_T, lab.spatial)
@@ -273,13 +276,13 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
         ) / VELOCITY_T
         return i_p(env.dual, other, p), rho, env.contact_mask * vel**p * rho
 
-    ip_limit, _, integrand_limit = quantities(lab.klass.p_body, lab.grid)
+    ip_limit, _, integrand_limit = quantities(envs[0], others[0])
     cell = float(np.prod(lab.spatial.spacing))
     ip_table, monotone_fracs, sup_bounds, vel_l1 = [], [], [], []
     rho_prev = None
     h = max(lab.spatial.spacing)
-    for body, grid in zip(lab.family.bodies, lab.family.grids):
-        ip, rho, integrand = quantities(body, grid)
+    for env, other in zip(envs[1:], others[1:]):
+        ip, rho, integrand = quantities(env, other)
         ip_table.append(ip)
         if rho_prev is not None:
             # contact sets (and densities) shrink along the decreasing schedule

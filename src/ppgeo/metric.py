@@ -1,7 +1,8 @@
 """Distance computations: the perturbation-family limit, the endpoint
 formula, an independent dual oracle, the energy route for p=1, and the
 extension to singular (finite-energy) potentials by truncation.  The
-routes from obstacles read only their envelope duals (``envelope_dual``).
+routes from obstacles read only their envelope duals, f* on each body's
+cells (``to_duals``: one transform per obstacle for all the bodies).
 
 Every distance integral is evaluated on dual cells (the velocity is the
 dual difference per cell), never by sampling velocities at spatial atoms:
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body, EpsilonFamily
-from .duality import DualPotential, SampledFunction, convexify_moment_values
-from .envelopes import envelope_dual, rooftop
+from .duality import DualPotential, SampledFunction, convexify_moment_values, to_duals
+from .envelopes import rooftop
 from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p, moment_grid
 from .measures import energy, i_p, require_minimal_singularities
 
@@ -125,18 +126,22 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
 def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, body: Body,
                   grid: MomentGrid, p: float) -> float:
     """Distance within a fixed body: envelope duals first, then the dual cells."""
-    return dp_endpoint(envelope_dual(f0, body, grid), envelope_dual(f1, body, grid), p)
+    return dp_endpoint(*(to_duals(f, [body], [grid])[0] for f in (f0, f1)), p)
 
 
 def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
              p: float) -> DistanceReport:
-    """The limit distance: table of d_{p,eps}, affine extrapolation to 0."""
-    table = []
-    for eps, body, grid, vol in zip(
-        family.schedule, family.bodies, family.grids, family.volumes
-    ):
-        d = dp_fixed_body(f0, f1, body, grid, p)
-        table.append((eps, vol, d))
+    """The limit distance: table of d_{p,eps}, affine extrapolation to 0.
+
+    Each obstacle is transformed once onto every body of the family and the
+    base body, whose duals (the last ones) give the cross-route.
+    """
+    base_grid = moment_grid(family.base.p_body, family.cells)
+    bodies, grids = family.bodies + (family.base.p_body,), family.grids + (base_grid,)
+    *duals0, u0 = to_duals(f0, bodies, grids)
+    *duals1, u1 = to_duals(f1, bodies, grids)
+    table = [(eps, vol, dp_endpoint(a, b, p))
+             for eps, vol, a, b in zip(family.schedule, family.volumes, duals0, duals1)]
     eps_arr = np.array([row[0] for row in table])
     d_arr = np.array([row[2] for row in table])
     # affine fit in eps on the last 3 schedule points
@@ -152,9 +157,6 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         )
     )
     # cross-route deviation against the limiting-class endpoint formula
-    base_grid = moment_grid(family.base.p_body, family.cells)
-    u0 = envelope_dual(f0, family.base.p_body, base_grid)
-    u1 = envelope_dual(f1, family.base.p_body, base_grid)
     d_end = dp_endpoint(u0, u1, p)
     d_oracle = dp_dual_oracle(u0, u1, p)
     return DistanceReport(

@@ -17,6 +17,7 @@ from ppgeo import (
     dual_from_form,
     moment_grid,
     to_dual,
+    to_duals,
     to_primal,
     truncate_dual,
 )
@@ -159,6 +160,27 @@ def test_to_dual_needs_a_moment_grid_of_the_samples_dimension():
     f = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic", body=square)
     with pytest.raises(ConfigurationError, match="differ in dimension"):
         to_dual(f, moment_grid(square, 16))
+
+
+QUADRATIC = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic")
+
+
+def test_to_duals_needs_at_least_one_target():
+    with pytest.raises(ConfigurationError, match="at least one"):
+        to_duals(QUADRATIC, [], [])
+
+
+@pytest.mark.parametrize("bodies", [[BODY, BODY], [BODY]], ids=["more_bodies", "more_grids"])
+def test_to_duals_needs_one_grid_per_body(bodies):
+    grids = [GRID] * (3 - len(bodies))
+    with pytest.raises(ConfigurationError, match="one moment grid per body"):
+        to_duals(QUADRATIC, bodies, grids)
+
+
+def test_to_duals_needs_every_grid_in_the_samples_dimension():
+    square = default_class_body(2).p_body
+    with pytest.raises(ConfigurationError, match="differ in dimension"):
+        to_duals(QUADRATIC, [BODY, square], [GRID, moment_grid(square, 16)])
 
 
 def test_to_dual_keeps_the_body_that_to_primal_carries():

@@ -25,9 +25,9 @@ from ppgeo.duality import (
     conjugate_oracle,
     lower_hull,
     lower_hull_indices,
+    to_duals,
 )
 from ppgeo.envelopes import (
-    envelope_dual,
     estimate_hessian_bound,
     iterative_envelope,
 )
@@ -231,7 +231,7 @@ def test_measure_identity_is_exact_for_admissible_obstacles(name, eps):
 def pushforward_density(rec):
     """Oracle: the body pushed forward through a 16x-refined f*, cloud-in-cell deposit."""
     fine = moment_grid(rec.dual.body, tuple(16 * c for c in rec.dual.grid.cells))
-    atoms = ma_atomic(envelope_dual(rec.obstacle, rec.dual.body, fine))
+    atoms = ma_atomic(to_duals(rec.obstacle, [rec.dual.body], [fine])[0])
     points, masses, grid = atoms.locations, atoms.masses, rec.obstacle.grid
     dens = np.zeros(grid.shape)
     pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
@@ -301,7 +301,11 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
     assert (primal >= double_conjugate(fine) - 1e-12).all()
 
 
-@pytest.mark.parametrize("build", [envelope, envelope_dual], ids=["envelope", "envelope_dual"])
+def _envelope_duals(f, body, grid):
+    return to_duals(f, [body], [grid])
+
+
+@pytest.mark.parametrize("build", [envelope, _envelope_duals], ids=["envelope", "to_duals"])
 def test_obstacle_and_grid_must_share_a_dimension(build):
     body = default_class_body(2).p_body
     with pytest.raises(ConfigurationError):

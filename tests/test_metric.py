@@ -1,13 +1,14 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppgeo.duality
 import ppgeo.envelopes
-import ppgeo.metric
 from ppgeo import (
     Body,
     ConfigurationError,
@@ -26,14 +27,19 @@ from ppgeo import (
     epsilon_family,
     geodesic,
     ma_atomic,
+    minkowski_sum,
     moment_grid,
     pair_from_catalog,
     rooftop,
     to_dual,
+    to_duals,
     to_primal,
     truncate_dual,
 )
+from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.corpus import obstacle_from_form, random_dual_pairs
+from ppgeo.envelopes import envelopes
+from ppgeo.harness import check_epsilon_lemmas
 from ppgeo.measures import RequiresTruncationError
 from ppgeo.metric import CSV_HEADER
 
@@ -183,29 +189,42 @@ def test_endpoint_matches_oracle_on_a_triangle():
         assert abs(d - dp_dual_oracle(e0.dual, e1.dual, p)) <= 1e-9 * d
 
 
-def test_limit_builds_envelope_duals_only(monkeypatch):
-    calls = {"envelope_dual": 0, "envelope": 0}
+def count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` through every ppgeo module that holds it."""
+    real, calls = getattr(module, name), []
 
-    def counting(name):
-        real = getattr(ppgeo.envelopes, name)
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ppgeo") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
 
-        return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(ppgeo.metric, name, counting(name), raising=False)
-        monkeypatch.setattr(ppgeo.envelopes, name, counting(name))
+def test_limit_hulls_each_obstacle_once(monkeypatch):
+    hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
+    envelopes = count_calls(monkeypatch, ppgeo.envelopes, "envelope")
     sp = SpatialGrid((-4.0,), (5.0,), (256,))
     family = epsilon_family(KLASS, 128)
+    # fresh obstacles: no hull can come from an earlier call
     f = obstacle_from_form("quadratic", sp)
     g = obstacle_from_form("soft_ramp", sp)
     dp_limit(f, g, family, 2.0)
-    # two per perturbed body, two for the base body
+    # one transform per obstacle serves the 7 perturbed bodies and the base body
     assert len(family.bodies) == 7
-    assert calls == {"envelope_dual": 16, "envelope": 0}
+    assert (len(hulls), len(envelopes)) == (2, 0)
+
+
+def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
+    lab = Experiment(dict(DEFAULT_CONFIG, dimension=2, moment_cells=16, suite_pairs=1,
+                          spatial={"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [32, 32]})).lab()
+    facets = count_calls(monkeypatch, ppgeo.duality, "lower_facets")
+    # the suite samples its obstacles afresh; the base body and the 7 perturbed ones share a hull
+    check_epsilon_lemmas(lab, 2.0)
+    assert len(lab.family.bodies) == 7
+    assert len(facets) == 1
 
 
 def _assert_limit_matches_full_envelopes(f0, f1, family, p):
@@ -247,15 +266,20 @@ def test_limit_matches_full_envelopes_2d():
     _assert_limit_matches_full_envelopes(f0, f1, epsilon_family(klass, 16), 2.0)
 
 
-def _random_triangle_pair(seed):
-    """A triangle inside the unit square, its 16-24 cell moment grid and two max-of-affine duals."""
-    rng = np.random.default_rng(seed)
+def _random_triangle(rng) -> Body:
+    """A triangle inside the unit square with an area of at least 0.05."""
     area = 0.0
     while abs(area) < 0.05:  # a sliver may hold no cell centre
         v = rng.random((3, 2))
         e1, e2 = v[1] - v[0], v[2] - v[0]
         area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    body = Body(v if area > 0 else v[::-1])
+    return Body(v if area > 0 else v[::-1])
+
+
+def _random_triangle_pair(seed):
+    """A triangle inside the unit square, its 16-24 cell moment grid and two max-of-affine duals."""
+    rng = np.random.default_rng(seed)
+    body = _random_triangle(rng)
     grid = moment_grid(body, int(rng.integers(16, 25)))
 
     def dual():
@@ -293,6 +317,41 @@ def test_2d_metric_identities_on_random_triangles(seed, p, t, s):
     curve = geodesic(u, v)
     speed = dp_endpoint(curve.potential_at(t), curve.potential_at(s), p)
     assert speed == pytest.approx(abs(t - s) * d, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["interval", "triangle", "square"]))
+def test_one_transform_for_many_bodies_matches_one_per_body(seed, shape):
+    """Every dual of one ``to_duals`` call, and every ``envelopes`` record, is bit for bit
+    what a one-body call gives, on an opening class of grids of unequal sizes."""
+    rng = np.random.default_rng(seed)
+    ndim = 1 if shape == "interval" else 2
+    klass = default_class_body(ndim)
+    if shape == "interval":
+        a = rng.uniform(-1.0, 1.0)
+        base = Body([[a], [a + rng.uniform(0.5, 2.0)]])
+    else:
+        base = _random_triangle(rng) if shape == "triangle" else klass.p_body
+    epsilons = np.sort(rng.uniform(0.0, 0.5, int(rng.integers(1, 4))))[::-1]
+    bodies = [minkowski_sum(base, klass.q_body, e) for e in epsilons] + [base]
+    grids = [moment_grid(b, tuple(int(c) for c in rng.integers(16, 25, ndim))) for b in bodies]
+    sp = SpatialGrid((-2.5,) * ndim, (3.5,) * ndim, (257,) if ndim == 1 else (24, 20))
+    x = sp.nodes()
+    waves = rng.uniform(-4.0, 4.0, (2, ndim))
+    ripple = 0.3 * np.cos(x @ waves.T + rng.uniform(0.0, 2 * np.pi, 2)).sum(axis=1)
+    f = SampledFunction(sp, (0.5 * (x**2).sum(axis=1) + ripple).reshape(sp.shape), "ripple")
+    bound = None if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
+    duals = to_duals(f, bodies, grids)
+    records = envelopes(f, bodies, grids, bound)
+    for body, grid, dual, rec in zip(bodies, grids, duals, records, strict=True):
+        one = to_dual(SampledFunction(sp, f.values, "ripple", body=body), grid)
+        assert dual.body == body and dual.grid == grid
+        # the +inf off the body's cells included
+        assert np.array_equal(dual.values, one.values)
+        alone = envelope(f, body, grid, hessian_bound=bound)
+        assert np.array_equal(rec.dual.values, one.values)
+        assert np.array_equal(rec.primal.values, alone.primal.values)
+        assert np.array_equal(rec.contact_mask, alone.contact_mask)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
