@@ -7,15 +7,18 @@ body, from one transform (``to_dual`` is its one-body case), and
 ``to_primal`` the one that samples a dual back on a spatial grid.
 
 The forward transform of a sampled function equals the transform of its
-lower convex hull, so each 1d pass reads the hull (``lower_hull``, the one
-reader of the monotone chain) and then resolves every query slope with a
-single sorted lookup.  A 1d double transform over a slope interval is read
-off the same hull (``clamped_hull``).  ``conjugate_nd`` is one 1d pass per
-axis, and ``DualPotential.eval_primal`` is the first of those passes, at
-the query points, followed by a max over the remaining axes.  One
-convexification (``convexify_moment_values``) serves spatial and moment
-grids; in 2d it reads the lower facets of the 3d hull (``lower_facets``, Qhull)
-through ``max_affine``, which is also the O(N*M) oracle ``conjugate_oracle``.
+lower convex hull, so each 1d pass reads the hull's vertices
+(``lower_hull``, the one reader of ``lower_hull_indices``, where one
+vectorised chord test drops the samples that cannot be vertices before the
+monotone chain runs) and then resolves every query slope with a single
+sorted lookup.  A 1d double transform over a slope interval is read off a
+hull (``clamped_hull``), so one hull serves any number of intervals.
+``conjugate_nd`` is one 1d pass per axis, and ``DualPotential.eval_primal``
+is the first of those passes, at the query points, followed by a max over
+the remaining axes.  One convexification (``convexify_moment_values``)
+serves spatial and moment grids; in 2d it reads the lower facets of the 3d
+hull (``lower_facets``, Qhull) through ``max_affine``, which is also the
+O(N*M) oracle ``conjugate_oracle``.
 ``gradient`` (first differences) sits beside ``second_differences``.
 """
 from __future__ import annotations
@@ -31,22 +34,31 @@ from .grids import ConfigurationError, MomentGrid, SpatialGrid, tensor_nodes
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of the points (x_i, v_i), x ascending.
+    """Indices of the vertices of the lower convex hull of the points (x_i, v_i), x ascending.
 
-    The chain runs on Python floats: they round exactly like numpy float64
-    scalars, so the indices are the same, but they index several times faster.
+    Both endpoints are kept; a sample on an edge of the hull (as the turn
+    test rounds) is not a vertex, so affine data whose turn tests are exact
+    give the two endpoints only.  One numpy pass applies the turn test to
+    every consecutive triple and drops each sample on or above the chord of
+    its two neighbours, which is never a vertex; on piecewise affine data
+    that leaves a few dozen samples of thousands.  The monotone chain
+    (Andrew 1979) then runs on the survivors, on Python floats, which round
+    exactly like numpy float64 scalars but index several times faster.
     """
-    x, v = x.tolist(), v.tolist()
+    # strict turn at i: slope(i-1, i) < slope(i, i+1)
+    turns = (v[1:-1] - v[:-2]) * (x[2:] - x[1:-1]) < (v[2:] - v[1:-1]) * (x[1:-1] - x[:-2])
+    keep = np.flatnonzero(np.concatenate([[True], turns, [True]])[: len(x)])
+    x, v = x[keep].tolist(), v[keep].tolist()
     stack: list[int] = []
     for i in range(len(x)):
         while len(stack) >= 2:
             j, k = stack[-2], stack[-1]
-            # keep the turn convex: slope(j,k) <= slope(k,i)
-            if (v[k] - v[j]) * (x[i] - x[k]) <= (v[i] - v[k]) * (x[k] - x[j]):
+            # pop k when it lies on or above the chord from j to i
+            if (v[k] - v[j]) * (x[i] - x[k]) < (v[i] - v[k]) * (x[k] - x[j]):
                 break
             stack.pop()
         stack.append(i)
-    return np.asarray(stack, dtype=int)
+    return keep[stack]
 
 
 def _finite_samples(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,18 +294,18 @@ def to_primal(g: DualPotential, target: SpatialGrid) -> SampledFunction:
     return SampledFunction(target, vals, g.provenance, body=g.body)
 
 
-def clamped_hull(x: np.ndarray, values: np.ndarray,
+def clamped_hull(x: np.ndarray, hull: tuple[np.ndarray, np.ndarray, np.ndarray],
                  a: float = -np.inf, b: float = np.inf) -> np.ndarray:
-    """sup over q in [a, b] of (q x - f*(q)) on x, f the finite samples, exactly.
+    """sup over q in [a, b] of (q x - f*(q)) on x, from the ``lower_hull`` of f, exactly.
 
     q x - f*(q) is concave and piecewise affine in q with kinks at the
     slopes of the lower hull, so the sup is attained at a, at b or at a hull
     slope.  That is the hull between the vertices where its slopes cross a
     and b, continued by rays of slope a to the left and b to the right.
     With the default [a, b] it is the lower convex hull, +inf outside the
-    finite samples.
+    finite samples.  One hull serves any number of slope intervals.
     """
-    xs, vs, slopes = lower_hull(x, values)
+    xs, vs, slopes = hull
     lo = np.searchsorted(slopes, a, side="left")
     hi = np.searchsorted(slopes, b, side="right")
     xs, vs = xs[lo : hi + 1], vs[lo : hi + 1]
@@ -314,12 +326,13 @@ def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) 
     """
     axes = grid.axes()
     if grid.ndim == 1:
-        return clamped_hull(axes[0], values)
+        return clamped_hull(axes[0], lower_hull(axes[0], values))
     out, nodes = values.flatten(), tensor_nodes(axes)
     finite = np.flatnonzero(np.isfinite(out))
     line = nodes[finite] - nodes[finite[0]]
     if np.linalg.matrix_rank(line) < 2:  # a needle body's cells: the 1d hull along their line
-        out[finite] = clamped_hull(line @ line[-1], out[finite])
+        t = line @ line[-1]
+        out[finite] = clamped_hull(t, lower_hull(t, out[finite]))
     else:
         slopes, offsets, vertices = lower_facets(nodes[finite], out[finite])
         rest = np.delete(finite, vertices)

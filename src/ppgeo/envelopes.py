@@ -4,7 +4,7 @@ Envelopes are computed through the dual.  The envelope's dual is f*
 restricted to the body's cells, which is all the distance routes read; they
 take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
 set for a list of bodies, exactly in every dimension: the obstacle's lower
-hull (in 2d its lower facets, found once for all the bodies) read with
+hull (in 2d its lower facets), found once for all the bodies and read with
 slopes in each body, beside one ``to_duals`` call.  Obstacle and envelope
 primal are both ``SampledFunction``s on the obstacle's spatial grid.  The
 envelope measure is ``ma_density`` of that primal (in 1d the clamped hull's
@@ -68,11 +68,14 @@ def envelopes(f: SampledFunction, bodies, grids,
     duals = to_duals(f, bodies, grids)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
-    # in 2d every body reads the obstacle's lower facets, found once
-    facets = lower_facets(f.grid.nodes(), f.values.ravel()) if f.grid.ndim == 2 else None
+    # every body reads the obstacle's lower hull (in 2d its lower facets), found once
+    if f.grid.ndim == 1:
+        hull = lower_hull(f.grid.axes()[0], f.values)
+    else:
+        hull = lower_facets(f.grid.nodes(), f.values.ravel())
     records = []
     for body, dual in zip(bodies, duals):
-        primal_vals = _primal_with_vertex_slopes(f, body, facets)
+        primal_vals = _primal_with_vertex_slopes(f, body, hull)
         primal = SampledFunction(f.grid, primal_vals, f.provenance, body=body)
         records.append(EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol))
     return records
@@ -87,19 +90,21 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     return envelopes(f, [body], [grid], hessian_bound)[0]
 
 
-def _primal_with_vertex_slopes(f: SampledFunction, body: Body, facets) -> np.ndarray:
+def _primal_with_vertex_slopes(f: SampledFunction, body: Body, hull) -> np.ndarray:
     """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes, exactly.
 
-    In 2d the concave, piecewise affine q -> <q,x> - f*(q) peaks at a body vertex,
-    at a kink of f* on a body edge or at a lower-facet slope inside the body;
-    ``facets`` are the obstacle's ``lower_facets`` (None in 1d).
+    ``hull`` is the obstacle's ``lower_hull`` in 1d, which ``clamped_hull``
+    clamps to the body's slope interval, and its ``lower_facets`` in 2d.
+    There the concave, piecewise affine q -> <q,x> - f*(q) peaks at a body
+    vertex, at a kink of f* on a body edge or at a lower-facet slope inside
+    the body.
     """
-    if facets is None:
+    if f.grid.ndim == 1:
         (a,), (b,) = body.bounding_box()
-        return clamped_hull(f.grid.axes()[0], f.values, a, b)
+        return clamped_hull(f.grid.axes()[0], hull, a, b)
     x, v = f.grid.nodes(), f.values.ravel()
-    slopes, _, hull = facets
-    xh, vh, corners = x[hull], v[hull], body.vertex_array  # f* is a max over the hull vertices
+    slopes, _, vertices = hull
+    xh, vh, corners = x[vertices], v[vertices], body.vertex_array  # f* is a max over the hull vertices
     q = [corners, slopes[body.contains(slopes)]]
     for a, b in zip(corners, np.roll(corners, -1, axis=0)):
         # f*(a + t (b - a)) is the 1d conjugate of (<b - a, x_i>, f_i - <a, x_i>), lowest per x

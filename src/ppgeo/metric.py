@@ -113,13 +113,9 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
     require_minimal_singularities(u1)
     check_p(p)
     vol = u0.body.volume()
-    w = u0.grid.weights.ravel()
-    a = u0.values.ravel()
-    b = u1.values.ravel()
-    terms = []
-    for j in range(len(w)):
-        if w[j] > 0.0:
-            terms.append(w[j] * abs(b[j] - a[j]) ** p)
+    # Python floats round like numpy float64 scalars and loop several times faster
+    w, a, b = (x.ravel().tolist() for x in (u0.grid.weights, u0.values, u1.values))
+    terms = [wj * abs(bj - aj) ** p for wj, aj, bj in zip(w, a, b) if wj > 0.0]
     return (math.fsum(terms) / vol) ** (1.0 / p)
 
 

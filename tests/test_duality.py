@@ -15,18 +15,20 @@ from ppgeo import (
     conjugate_nd,
     default_class_body,
     dual_from_form,
+    epsilon_family,
     moment_grid,
     to_dual,
     to_duals,
     to_primal,
     truncate_dual,
 )
-from ppgeo.corpus import random_dual
+from ppgeo.corpus import random_dual, random_dual_pairs
 from ppgeo.duality import (
     clamped_hull,
     conjugate_oracle,
     convexify_moment_values,
     gradient,
+    lower_hull,
     lower_hull_indices,
     second_difference_slack,
     second_differences,
@@ -267,19 +269,6 @@ def test_second_difference_slack_skips_infinite_nodes_without_warnings(values):
     assert slack == _slack_by_loops(values)
 
 
-def _numpy_scalar_chain(x, v):
-    """The monotone chain as it ran on numpy scalars, kept as the reference."""
-    stack = []
-    for i in range(len(x)):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            if (v[k] - v[j]) * (x[i] - x[k]) <= (v[i] - v[k]) * (x[k] - x[j]):
-                break
-            stack.pop()
-        stack.append(i)
-    return np.asarray(stack, dtype=int)
-
-
 # small integer values give ties and collinear runs; the floats give
 # arbitrary non-convex data
 _HULL_POINTS = st.lists(
@@ -292,18 +281,69 @@ _HULL_POINTS = st.lists(
 )
 
 
+def _assert_matches_oracle(values, x, v, q):
+    oracle = conjugate_oracle(x, v, q)
+    assert (np.abs(values - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle))).all()
+
+
+def _assert_strict_lower_hull(x, v):
+    """``lower_hull_indices`` gives the vertices of the lower hull, and its conjugate is exact.
+
+    The indices are not pinned: a sample on an edge up to rounding may come
+    out either way, and the conjugate is the same to rounding.
+    """
+    h = lower_hull_indices(x, v)
+    assert h[0] == 0 and h[-1] == len(x) - 1
+    xs, vs = x[h], v[h]
+    # every consecutive triple turns strictly
+    assert ((vs[1:-1] - vs[:-2]) * (xs[2:] - xs[1:-1])
+            < (vs[2:] - vs[1:-1]) * (xs[1:-1] - xs[:-2])).all()
+    scale = max(1.0, np.abs(v).max())
+    # and no sample lies below the hull
+    assert (np.interp(x, xs, vs) <= v + 1e-12 * scale).all()
+    edges = np.diff(vs) / np.diff(xs)
+    steps = np.diff(v) / np.diff(x) if len(x) > 1 else np.zeros(1)
+    q = np.concatenate([edges, (edges[1:] + edges[:-1]) / 2, steps,
+                        [steps.min() - 1.0, steps.max() + 1.0]])
+    _assert_matches_oracle(conjugate_oracle(xs, vs, q), x, v, q)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_HULL_POINTS)
-def test_lower_hull_indices_match_numpy_scalar_chain(points):
+def test_lower_hull_indices_are_the_vertices(points):
     steps, v = zip(*points)
-    x, v = np.cumsum(steps), np.array(v)
-    assert np.array_equal(lower_hull_indices(x, v), _numpy_scalar_chain(x, v))
+    _assert_strict_lower_hull(np.cumsum(steps), np.array(v))
 
 
-def test_lower_hull_indices_match_numpy_scalar_chain_on_a_ripple():
+def test_lower_hull_indices_are_the_vertices_on_a_ripple():
     x = SPATIAL.axes()[0]
     for v in (0.5 * x**2 + 0.2 * np.cos(3 * x), np.abs(x - 0.5), np.zeros_like(x)):
-        assert np.array_equal(lower_hull_indices(x, v), _numpy_scalar_chain(x, v))
+        _assert_strict_lower_hull(x, v)
+
+
+_LINE = np.linspace(-1.0, 2.0, 7)
+
+
+# dyadic nodes and slopes: every turn test is exactly zero
+@pytest.mark.parametrize("x, v", [(_LINE, np.zeros(7)), (_LINE, 0.75 - 2.5 * _LINE),
+                                  (SPATIAL.axes()[0], 2 * SPATIAL.axes()[0] - 1)],
+                         ids=["zero", "falling", "spatial"])
+def test_affine_data_keeps_only_the_endpoints(x, v):
+    assert lower_hull_indices(x, v).tolist() == [0, len(x) - 1]
+
+
+def test_piecewise_affine_primal_has_few_vertices():
+    # the obstacles of the limit route are primals of piecewise affine duals
+    (u, _), = random_dual_pairs(20240, 1, BODY, moment_grid(BODY, 1024))
+    spatial = SpatialGrid((-4.0,), (5.0,), (2048,))
+    x, v = spatial.axes()[0], to_primal(u, spatial).values
+    h = lower_hull_indices(x, v)
+    assert len(h) < 64
+    family = epsilon_family(default_class_body(1), 1024)
+    for grid in family.grids + (moment_grid(BODY, 1024),):
+        q = grid.axes()[0]
+        _assert_matches_oracle(conjugate_oracle(x[h], v[h], q), x, v, q)
+        _assert_matches_oracle(conjugate_1d(x, v, q), x, v, q)
 
 
 def _blocked_eval_primal(u, pts):
@@ -371,7 +411,8 @@ def test_2d_convexification_of_a_separable_input_is_the_sum_of_1d_hulls():
     p1, p2 = grid.axes()
     wavy = lambda p: np.cos(7 * p) + 2 * p**2  # noqa: E731
     hull = convexify_moment_values(grid, wavy(p1)[:, None] + wavy(p2)[None, :])
-    exact = clamped_hull(p1, wavy(p1))[:, None] + clamped_hull(p2, wavy(p2))[None, :]
+    exact = (clamped_hull(p1, lower_hull(p1, wavy(p1)))[:, None]
+             + clamped_hull(p2, lower_hull(p2, wavy(p2)))[None, :])
     assert np.abs(hull - exact).max() <= 1e-12
 
 
@@ -394,7 +435,7 @@ def test_2d_convexification_on_a_needle_is_the_1d_hull_along_it():
     p = grid.axes()[0]
     vals = np.where(grid.mask, np.cos(9 * p)[:, None], np.inf)
     hull = convexify_moment_values(grid, vals)
-    assert np.abs(np.diag(hull) - clamped_hull(p, np.cos(9 * p))).max() <= 1e-12
+    assert np.abs(np.diag(hull) - clamped_hull(p, lower_hull(p, np.cos(9 * p)))).max() <= 1e-12
     assert np.isposinf(hull[~grid.mask]).all()
 
 

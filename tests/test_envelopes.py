@@ -147,7 +147,8 @@ def test_2d_envelope_primal_of_a_separable_obstacle_is_separable():
     (g1, g2), f = separable_ripple(spatial)
     primal = envelope(f, SQUARE, moment_grid(SQUARE, 32)).primal.values
     x1, x2 = spatial.axes()
-    exact = clamped_hull(x1, g1, 0.0, 1.0)[:, None] + clamped_hull(x2, g2, 0.0, 1.0)[None, :]
+    exact = (clamped_hull(x1, lower_hull(x1, g1), 0.0, 1.0)[:, None]
+             + clamped_hull(x2, lower_hull(x2, g2), 0.0, 1.0)[None, :])
     assert np.abs(primal - exact).max() <= 1e-12
 
 

@@ -86,6 +86,26 @@ def test_oracle_agrees_with_endpoint():
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
+def _numpy_scalar_oracle(u0, u1, p):
+    """The fsum oracle as it looped over numpy scalars, kept as the reference."""
+    w, a, b = u0.grid.weights.ravel(), u0.values.ravel(), u1.values.ravel()
+    terms = []
+    for j in range(len(w)):
+        if w[j] > 0.0:
+            terms.append(w[j] * abs(b[j] - a[j]) ** p)
+    return (math.fsum(terms) / u0.body.volume()) ** (1.0 / p)
+
+
+def test_oracle_matches_numpy_scalar_loop():
+    # the triangle's grid has zero weights and +inf duals off its cells
+    triangle = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
+    pairs = (random_dual_pairs(31, 3, KLASS.p_body, GRID)
+             + random_dual_pairs(20240, 2, triangle, moment_grid(triangle, 24)))
+    for u, v in pairs:
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert dp_dual_oracle(u, v, p) == _numpy_scalar_oracle(u, v, p)
+
+
 def test_d1_energy_route():
     u, v = pair_from_catalog("ramp_pair", KLASS.p_body, GRID)
     assert d1_energy(u, v, SPATIAL) == pytest.approx(0.5, rel=1e-2)
@@ -190,11 +210,11 @@ def test_endpoint_matches_oracle_on_a_triangle():
 
 
 def count_calls(monkeypatch, module, name) -> list:
-    """Record each call of ``module.name`` through every ppgeo module that holds it."""
+    """Positional arguments of each call of ``module.name``, through every ppgeo module holding it."""
     real, calls = getattr(module, name), []
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -215,6 +235,17 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     # one transform per obstacle serves the 7 perturbed bodies and the base body
     assert len(family.bodies) == 7
     assert (len(hulls), len(envelopes)) == (2, 0)
+
+
+def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
+    lab = Experiment(dict(DEFAULT_CONFIG)).lab()
+    hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
+    check_epsilon_lemmas(lab, 2.0)
+    # on the obstacle's nodes: its transform, the other obstacle's, and one
+    # hull that the envelope primals of the base body and the 7 perturbed ones share
+    nodes = len(lab.spatial.axes()[0])
+    assert (nodes, len(lab.family.bodies)) == (2049, 7)
+    assert sum(len(x) == nodes for x, _ in hulls) == 3
 
 
 def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
