@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConfigurationError, moment_grid
+from .grids import ConfigurationError, MomentGrid, moment_grid
 
 # the default epsilon schedule: 0.2 halved six times
 DEFAULT_SCHEDULE = tuple(0.2 * 0.5**k for k in range(7))
@@ -151,7 +151,11 @@ def default_class_body(ndim: int) -> ClassBody:
 
 @dataclass(frozen=True)
 class EpsilonFamily:
-    """The family P_eps = P + eps*Q with per-eps moment grids and volumes."""
+    """The family P_eps = P + eps*Q with per-eps moment grids and volumes.
+
+    It also holds ``base_grid``, the moment grid of the limiting body P at the
+    same cells, so every route to the limit reads one base grid and builds none.
+    """
 
     base: ClassBody
     schedule: tuple
@@ -159,6 +163,7 @@ class EpsilonFamily:
     bodies: tuple = field(compare=False)
     grids: tuple = field(compare=False)
     volumes: tuple = field(compare=False)
+    base_grid: MomentGrid = field(compare=False)
 
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
@@ -173,4 +178,5 @@ def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
     bodies = tuple(base.perturbed(e) for e in schedule)
     grids = tuple(moment_grid(b, cells) for b in bodies)
     volumes = tuple(b.volume() for b in bodies)
-    return EpsilonFamily(base, schedule, cells, bodies, grids, volumes)
+    return EpsilonFamily(base, schedule, cells, bodies, grids, volumes,
+                         moment_grid(base.p_body, cells))

@@ -30,7 +30,7 @@ from .corpus import (
 from .duality import to_primal
 from .envelopes import envelope, measure_identity_residual
 from .geodesics import curve_checks, geodesic
-from .grids import ConfigurationError, SpatialGrid, check_p, moment_grid
+from .grids import ConfigurationError, SpatialGrid, check_p
 from .harness import SUITES, Lab, run_suites
 from .measures import energy, ma_atomic, ma_density
 from .metric import (
@@ -159,12 +159,12 @@ class Experiment:
             self.klass = ClassBody(Body(cfg["p_body"]), Body(cfg["q_body"]))
         else:
             self.klass = default_class_body(cfg["dimension"])
-        self.grid = moment_grid(self.klass.p_body, cfg["moment_cells"])
         sp = cfg["spatial"]
         self.spatial = SpatialGrid(tuple(sp["lo"]), tuple(sp["hi"]), tuple(sp["cells"]))
         self.family = epsilon_family(
             self.klass, cfg["moment_cells"], cfg["epsilon_schedule"]
         )
+        self.grid = self.family.base_grid
         self.p = float(cfg["p"])
         self.seed = cfg["seed"]
 

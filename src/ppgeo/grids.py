@@ -6,6 +6,10 @@ and obstacles, and a moment grid (cell centers of the bounding box of a
 convex body) carrying Legendre duals.  What lives on them is in
 ``duality``: ``SampledFunction`` on a spatial grid, ``DualPotential`` on a
 moment grid.
+
+A grid stores its axes once, when it is built, as read-only arrays, and
+``axes()`` hands out those same arrays: every transform, quadrature and
+evaluation on a grid reads its coordinates without recomputing them.
 """
 from __future__ import annotations
 
@@ -29,8 +33,11 @@ def _spacing(lo, hi, cells) -> tuple:
     return tuple((h - l) / c for l, h, c in zip(lo, hi, cells))
 
 
-def _cell_centers(lo, hi, cells) -> list[np.ndarray]:
-    return [l + (np.arange(c) + 0.5) * s for l, c, s in zip(lo, cells, _spacing(lo, hi, cells))]
+def _keep_axes(grid, axes) -> None:
+    """Store ``axes`` on the frozen ``grid``, read-only, for ``axes()`` to return."""
+    for a in axes:
+        a.flags.writeable = False
+    object.__setattr__(grid, "_axes", tuple(axes))
 
 
 def tensor_nodes(axes: list[np.ndarray]) -> np.ndarray:
@@ -48,6 +55,7 @@ class SpatialGrid:
     lo: tuple
     hi: tuple
     cells: tuple
+    _axes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
@@ -61,6 +69,8 @@ class SpatialGrid:
                 raise ConfigurationError(f"need lo < hi, got [{lo}, {hi}]")
             if c < 8:
                 raise ConfigurationError(f"need at least 8 cells per axis, got {c}")
+        _keep_axes(self, [np.linspace(l, h, c + 1)
+                          for l, h, c in zip(self.lo, self.hi, self.cells)])
 
     @property
     def ndim(self) -> int:
@@ -75,7 +85,8 @@ class SpatialGrid:
         return tuple(c + 1 for c in self.cells)
 
     def axes(self) -> list[np.ndarray]:
-        return [np.linspace(l, h, c + 1) for l, h, c in zip(self.lo, self.hi, self.cells)]
+        """The node coordinates per axis, endpoints included; read-only, stored once."""
+        return list(self._axes)
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (N, ndim)."""
@@ -89,6 +100,8 @@ class MomentGrid:
     Nodes whose center lies in the body get the full cell volume as weight,
     others get zero.  For intervals (n=1) the weights sum exactly to the
     body volume; for polygons the boundary error is O(h * perimeter).
+    ``moment_grid`` builds it and keeps the cell centers it reads the mask
+    from as the grid's axes.
     """
 
     lo: tuple
@@ -96,6 +109,7 @@ class MomentGrid:
     cells: tuple
     mask: np.ndarray = field(compare=False)
     weights: np.ndarray = field(compare=False)
+    _axes: tuple = field(init=False, compare=False, repr=False)
 
     @property
     def ndim(self) -> int:
@@ -110,7 +124,8 @@ class MomentGrid:
         return tuple(self.cells)
 
     def axes(self) -> list[np.ndarray]:
-        return _cell_centers(self.lo, self.hi, self.cells)
+        """The cell centers per axis; read-only, stored once by ``moment_grid``."""
+        return list(self._axes)
 
     def nodes(self) -> np.ndarray:
         return tensor_nodes(self.axes())
@@ -122,8 +137,12 @@ def moment_grid(body, cells) -> MomentGrid:
     cells = (cells,) * body.ndim if np.isscalar(cells) else tuple(int(c) for c in cells)
     if any(c < 8 for c in cells):
         raise ConfigurationError("need at least 8 moment cells per axis")
-    mask = body.contains(tensor_nodes(_cell_centers(lo, hi, cells))).reshape(cells)
+    centers = [l + (np.arange(c) + 0.5) * s
+               for l, c, s in zip(lo, cells, _spacing(lo, hi, cells))]
+    mask = body.contains(tensor_nodes(centers)).reshape(cells)
     if not mask.any():
         raise ConfigurationError("body has no interior at this resolution")
     weights = np.where(mask, float(np.prod(_spacing(lo, hi, cells))), 0.0)
-    return MomentGrid(tuple(lo), tuple(hi), cells, mask, weights)
+    grid = MomentGrid(tuple(lo), tuple(hi), cells, mask, weights)
+    _keep_axes(grid, centers)
+    return grid

@@ -263,7 +263,7 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     fs = [obstacle_from_form(o, lab.spatial) for o in obstacles]
     # the limit body, then the opening class: one transform and one hull per obstacle
     bodies = (lab.klass.p_body,) + lab.family.bodies
-    grids = (lab.grid,) + lab.family.grids
+    grids = (lab.family.base_grid,) + lab.family.grids
     envs = envelopes(fs[0], bodies, grids, bounds[0])
     others = to_duals(fs[1], bodies, grids)
 

@@ -8,7 +8,9 @@ Every distance integral is evaluated on dual cells (the velocity is the
 dual difference per cell), never by sampling velocities at spatial atoms:
 mass concentrates exactly at gradient ties, where spatial velocities are
 set-valued, while the dual-cell pairing is unambiguous.  The endpoint
-formula is one quadrature over the positive-weight cells;
+formula is one quadrature over the positive-weight cells, written once
+(``_dp_endpoints``): ``dp_limit`` prices its whole eps-table in one
+reduction of it and ``dp_endpoint`` is its one-pair case.
 ``dp_dual_oracle`` re-adds the same terms with ``math.fsum`` as its
 independent check.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +27,7 @@ import numpy as np
 from .bodies import Body, EpsilonFamily
 from .duality import DualPotential, SampledFunction, convexify_moment_values, to_duals
 from .envelopes import rooftop
-from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p, moment_grid
+from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p
 from .measures import energy, i_p, require_minimal_singularities
 
 FORMAT_VERSION = 1
@@ -91,18 +94,34 @@ def dp_endpoint(u0: DualPotential, u1: DualPotential, p: float) -> float:
     The t=0 form (against MA(u0)) and the t=1 form (against MA(u1)) are
     the same sum over the positive-weight cells, so it is computed once;
     cells of zero weight, where a polygon's dual is +inf, never enter it.
-    ``dp_dual_oracle`` is the independent check.
+    It is the one-pair case of ``_dp_endpoints``; ``dp_dual_oracle`` is the
+    independent check.
     """
-    if u0.grid != u1.grid:
+    return _dp_endpoints([u0], [u1], p)[0]
+
+
+def _dp_endpoints(duals0, duals1, p: float) -> list[float]:
+    """The endpoint formula on each pair (duals0[i], duals1[i]), all pairs in one reduction.
+
+    The terms of every pair's positive-weight cells form one array, so the
+    checks, differences and powers run once.  Each pair's distance is then
+    the sum over its own cells, rooted as a scalar: bit for bit the pair on
+    its own, whatever the other pairs and their masks.
+    """
+    if any(a.grid != b.grid for a, b in zip(duals0, duals1)):
         raise ConfigurationError("dp_endpoint needs a common moment grid")
-    require_minimal_singularities(u0)
-    require_minimal_singularities(u1)
+    # the positive-weight cells are the body's cells, its grid's mask
+    pos = np.concatenate([u.grid.mask.ravel() for u in duals0])
+    w = np.concatenate([u.grid.weights.ravel() for u in duals0])[pos]
+    v0, v1 = (np.concatenate([u.values.ravel() for u in us])[pos] for us in (duals0, duals1))
+    if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+        for u in (*duals0, *duals1):
+            require_minimal_singularities(u)  # raises for the first singular dual
     check_p(p)
-    vol = u0.body.volume()
-    w = u0.grid.weights
-    pos = w > 0
-    d = u1.values[pos] - u0.values[pos]
-    return float((np.sum(w[pos] * np.abs(d) ** p) / vol) ** (1.0 / p))
+    terms = w * np.abs(v1 - v0) ** p
+    ends = list(itertools.accumulate(np.count_nonzero(u.grid.mask) for u in duals0))
+    return [float((terms[a:b].sum() / u.body.volume()) ** (1.0 / p))
+            for a, b, u in zip([0, *ends], ends, duals0)]
 
 
 def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
@@ -130,14 +149,16 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
     """The limit distance: table of d_{p,eps}, affine extrapolation to 0.
 
     Each obstacle is transformed once onto every body of the family and the
-    base body, whose duals (the last ones) give the cross-route.
+    base body (on the family's base grid), whose duals (the last ones) give
+    the cross-route.  The table's distances are one ``_dp_endpoints``
+    reduction over the stacked eps-duals, each equal bit for bit to
+    ``dp_endpoint`` on its pair.
     """
-    base_grid = moment_grid(family.base.p_body, family.cells)
-    bodies, grids = family.bodies + (family.base.p_body,), family.grids + (base_grid,)
+    bodies = family.bodies + (family.base.p_body,)
+    grids = family.grids + (family.base_grid,)
     *duals0, u0 = to_duals(f0, bodies, grids)
     *duals1, u1 = to_duals(f1, bodies, grids)
-    table = [(eps, vol, dp_endpoint(a, b, p))
-             for eps, vol, a, b in zip(family.schedule, family.volumes, duals0, duals1)]
+    table = list(zip(family.schedule, family.volumes, _dp_endpoints(duals0, duals1, p)))
     eps_arr = np.array([row[0] for row in table])
     d_arr = np.array([row[2] for row in table])
     # affine fit in eps on the last 3 schedule points

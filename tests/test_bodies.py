@@ -9,6 +9,7 @@ from ppgeo import (
     default_class_body,
     epsilon_family,
     minkowski_sum,
+    moment_grid,
 )
 
 
@@ -96,6 +97,19 @@ def test_epsilon_family_volumes(capsys):
     fam = epsilon_family(default_class_body(1), 64)
     for eps, vol in zip(fam.schedule, fam.volumes):
         assert vol == pytest.approx(1.0 + 2.0 * eps)
+
+
+@pytest.mark.parametrize("base", [default_class_body(1), default_class_body(2),
+                                  ClassBody(Body([(0, 0), (1, 0), (0.3, 1)]),
+                                            default_class_body(2).q_body)],
+                         ids=["interval", "square", "triangle"])
+def test_epsilon_family_holds_its_base_grid(base):
+    fam = epsilon_family(base, 16)
+    fresh = moment_grid(base.p_body, 16)
+    assert fam.base_grid == fresh
+    for name in ("mask", "weights"):
+        assert np.array_equal(getattr(fam.base_grid, name), getattr(fresh, name))
+    assert all(np.array_equal(a, b) for a, b in zip(fam.base_grid.axes(), fresh.axes(), strict=True))
 
 
 def test_contains_boundary(square):

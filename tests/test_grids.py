@@ -18,6 +18,24 @@ def test_spatial_grid_axes_include_endpoints():
     assert g.spacing == (0.25,)
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_grids_store_their_axes(dims):
+    lo, hi, cells = (-1.0, 0.25)[:dims], (2.0, 1.5)[:dims], (12, 9)[:dims]
+    body = Body([[lo[0]], [hi[0]]] if dims == 1 else [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+    spatial, moment = SpatialGrid(lo, hi, cells), moment_grid(body, cells)
+    fresh = [
+        (spatial, [np.linspace(l, h, c + 1) for l, h, c in zip(lo, hi, cells)]),
+        (moment, [l + (np.arange(c) + 0.5) * ((h - l) / c) for l, h, c in zip(lo, hi, cells)]),
+    ]
+    for grid, expected in fresh:
+        axes = grid.axes()
+        assert all(np.array_equal(a, e) for a, e in zip(axes, expected, strict=True))
+        assert all(a is b for a, b in zip(axes, grid.axes(), strict=True))
+        for a in axes:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 def test_spatial_grid_validation():
     with pytest.raises(ConfigurationError):
         SpatialGrid((0.0,), (0.0,), (16,))

@@ -11,6 +11,7 @@ import ppgeo.duality
 import ppgeo.envelopes
 from ppgeo import (
     Body,
+    ClassBody,
     ConfigurationError,
     DualPotential,
     SampledFunction,
@@ -224,17 +225,19 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 def test_limit_hulls_each_obstacle_once(monkeypatch):
-    hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
-    envelopes = count_calls(monkeypatch, ppgeo.envelopes, "envelope")
     sp = SpatialGrid((-4.0,), (5.0,), (256,))
     family = epsilon_family(KLASS, 128)
+    hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
+    envelopes = count_calls(monkeypatch, ppgeo.envelopes, "envelope")
+    grids = count_calls(monkeypatch, ppgeo.grids, "moment_grid")
     # fresh obstacles: no hull can come from an earlier call
     f = obstacle_from_form("quadratic", sp)
     g = obstacle_from_form("soft_ramp", sp)
     dp_limit(f, g, family, 2.0)
-    # one transform per obstacle serves the 7 perturbed bodies and the base body
+    # one transform per obstacle serves the 7 perturbed bodies and the base
+    # body, whose grid the family holds
     assert len(family.bodies) == 7
-    assert (len(hulls), len(envelopes)) == (2, 0)
+    assert (len(hulls), len(envelopes), len(grids)) == (2, 0, 0)
 
 
 def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
@@ -258,26 +261,34 @@ def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
     assert len(facets) == 1
 
 
-def _assert_limit_matches_full_envelopes(f0, f1, family, p):
-    """dp_limit against its table and cross routes built from full envelope records."""
-    rep = dp_limit(f0, f1, family, p)
-    table = []
-    for eps, body, grid, vol in zip(
-        family.schedule, family.bodies, family.grids, family.volumes
-    ):
-        e0, e1 = envelope(f0, body, grid), envelope(f1, body, grid)
-        table.append((eps, vol, dp_endpoint(e0.dual, e1.dual, p)))
-    assert rep.table == table
+def _compressed_endpoint(u0, u1, p):
+    """The endpoint formula as one pair's own compressed sum, kept as the reference."""
+    w = u0.grid.weights
+    pos = w > 0
+    d = u1.values[pos] - u0.values[pos]
+    return float((np.sum(w[pos] * np.abs(d) ** p) / u0.body.volume()) ** (1.0 / p))
+
+
+def _assert_limit_matches_full_envelopes(f0, f1, family):
+    """dp_limit against its table and cross routes built from full envelope records, at every p."""
     base_grid = moment_grid(family.base.p_body, family.cells)
-    e0 = envelope(f0, family.base.p_body, base_grid)
-    e1 = envelope(f1, family.base.p_body, base_grid)
-    d_end, d_oracle = dp_endpoint(e0.dual, e1.dual, p), dp_dual_oracle(e0.dual, e1.dual, p)
-    assert rep.cross_route == {
-        "endpoint": d_end,
-        "dual_oracle": d_oracle,
-        "deviation_endpoint": abs(rep.value - d_end),
-        "deviation_oracle": abs(rep.value - d_oracle),
-    }
+    *duals, (b0, b1) = [
+        (envelope(f0, body, grid).dual, envelope(f1, body, grid).dual)
+        for body, grid in zip(family.bodies + (family.base.p_body,), family.grids + (base_grid,))
+    ]
+    for p in (1.0, 1.5, 2.0, 3.0):
+        rep = dp_limit(f0, f1, family, p)
+        table = [(eps, vol, _compressed_endpoint(a, b, p))
+                 for eps, vol, (a, b) in zip(family.schedule, family.volumes, duals)]
+        assert rep.table == table
+        assert [dp_endpoint(a, b, p) for a, b in duals] == [d for *_, d in table]
+        d_end, d_oracle = _compressed_endpoint(b0, b1, p), dp_dual_oracle(b0, b1, p)
+        assert rep.cross_route == {
+            "endpoint": d_end,
+            "dual_oracle": d_oracle,
+            "deviation_endpoint": abs(rep.value - d_end),
+            "deviation_oracle": abs(rep.value - d_oracle),
+        }
 
 
 @pytest.mark.parametrize("seed", [20240, 861317])
@@ -285,16 +296,27 @@ def test_limit_matches_full_envelopes_1d(seed):
     (u, v), = random_dual_pairs(seed, 1, KLASS.p_body, GRID)
     fu = SampledFunction(SPATIAL, to_primal(u, SPATIAL).values, "u")
     fv = SampledFunction(SPATIAL, to_primal(v, SPATIAL).values, "v")
-    _assert_limit_matches_full_envelopes(fu, fv, FAMILY, 2.0)
+    _assert_limit_matches_full_envelopes(fu, fv, FAMILY)
+
+
+def _quadratic_obstacles():
+    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
+    x, y = np.meshgrid(*sp.axes(), indexing="ij")
+    return (SampledFunction(sp, 0.5 * (x**2 + y**2), "round"),
+            SampledFunction(sp, 0.5 * ((x - 0.3) ** 2 + 2 * y**2), "shifted"))
 
 
 def test_limit_matches_full_envelopes_2d():
-    klass = default_class_body(2)
-    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (32, 32))
-    x, y = np.meshgrid(*sp.axes(), indexing="ij")
-    f0 = SampledFunction(sp, 0.5 * (x**2 + y**2), "round")
-    f1 = SampledFunction(sp, 0.5 * ((x - 0.3) ** 2 + 2 * y**2), "shifted")
-    _assert_limit_matches_full_envelopes(f0, f1, epsilon_family(klass, 16), 2.0)
+    _assert_limit_matches_full_envelopes(*_quadratic_obstacles(),
+                                         epsilon_family(default_class_body(2), 16))
+
+
+def test_limit_matches_full_envelopes_triangle():
+    klass = ClassBody(Body([(0, 0), (1, 0), (0.3, 1)]), default_class_body(2).q_body)
+    family = epsilon_family(klass, 16)
+    # each eps-grid has its own mask, so the table's rows sum over different cells
+    assert len({int(g.mask.sum()) for g in family.grids}) == len(family.grids)
+    _assert_limit_matches_full_envelopes(*_quadratic_obstacles(), family)
 
 
 def _random_triangle(rng) -> Body:
