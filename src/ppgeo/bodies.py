@@ -61,14 +61,9 @@ class Body:
         if self.ndim == 1:
             x = pts[:, 0]
             return (x >= v[0, 0] - tol) & (x <= v[1, 0] + tol)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for i in range(v.shape[0]):
-            a, b = v[i], v[(i + 1) % v.shape[0]]
-            edge = b - a
-            # CCW: interior is on the left of each edge
-            cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
-            inside &= cross >= -tol * max(1.0, np.abs(edge).max())
-        return inside
+        edges, cross = _edge_cross(v, pts)
+        # CCW: interior is on the left of each edge
+        return (cross >= -tol * np.maximum(1.0, np.abs(edges).max(axis=1))[:, None]).all(axis=0)
 
     def bounding_box(self) -> tuple[tuple, tuple]:
         v = self.vertex_array
@@ -80,15 +75,24 @@ def _shoelace(v: np.ndarray) -> float:
     return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _edge_cross(v: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges e_i = v_{i+1} - v_i of the polygon v, and e_i x (pts_j - v_i) at [i, j]."""
+    edges = np.roll(v, -1, axis=0) - v
+    dx, dy = (pts[None, :, k] - v[:, None, k] for k in (0, 1))
+    # in place: fresh (edges, points) temporaries cost more than the arithmetic on them
+    dy *= edges[:, None, 0]
+    dx *= edges[:, None, 1]
+    dy -= dx
+    return edges, dy
+
+
 def _strictly_convex_ccw(v: np.ndarray) -> bool:
     """Each vertex lies strictly left of each edge that it does not end.
 
     That rules out CW order, a repeated or collinear vertex, a dent and a double winding.
     """
     n = len(v)
-    edges = np.roll(v, -1, axis=0) - v
-    rel = v[None, :, :] - v[:, None, :]  # rel[i, j] = v_j - v_i
-    cross = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
+    cross = _edge_cross(v, v)[1]
     ends = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
     return bool((cross[~ends] > 0).all())
 
@@ -151,7 +155,7 @@ def default_class_body(ndim: int) -> ClassBody:
 
 @dataclass(frozen=True)
 class EpsilonFamily:
-    """The family P_eps = P + eps*Q with per-eps moment grids and volumes.
+    """The family P_eps = P + eps*Q as per-eps moment grids, each on its body, and volumes.
 
     It also holds ``base_grid``, the moment grid of the limiting body P at the
     same cells, so every route to the limit reads one base grid and builds none.
@@ -160,7 +164,6 @@ class EpsilonFamily:
     base: ClassBody
     schedule: tuple
     cells: tuple
-    bodies: tuple = field(compare=False)
     grids: tuple = field(compare=False)
     volumes: tuple = field(compare=False)
     base_grid: MomentGrid = field(compare=False)
@@ -174,9 +177,7 @@ def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
     ):
         raise ConfigurationError(
             "epsilon schedule must be two or more strictly decreasing positive numbers")
-    cells = (cells,) * base.ndim if np.isscalar(cells) else tuple(int(c) for c in cells)
-    bodies = tuple(base.perturbed(e) for e in schedule)
-    grids = tuple(moment_grid(b, cells) for b in bodies)
-    volumes = tuple(b.volume() for b in bodies)
-    return EpsilonFamily(base, schedule, cells, bodies, grids, volumes,
-                         moment_grid(base.p_body, cells))
+    base_grid = moment_grid(base.p_body, cells)
+    grids = tuple(moment_grid(base.perturbed(e), base_grid.cells) for e in schedule)
+    volumes = tuple(g.body.volume() for g in grids)
+    return EpsilonFamily(base, schedule, base_grid.cells, grids, volumes, base_grid)

@@ -171,21 +171,18 @@ class Experiment:
     def resolve_pair(self):
         spec = self.cfg["pair"]
         if isinstance(spec, str):
-            return pair_from_catalog(spec, self.klass.p_body, self.grid)
+            return pair_from_catalog(spec, self.grid)
         if isinstance(spec, dict):
             k = spec["seed_index"]
             pairs = random_dual_pairs(self.seed, k + 1, self.klass.p_body, self.grid)
             return pairs[k]
-        return (
-            dual_from_form(spec[0], self.klass.p_body, self.grid),
-            dual_from_form(spec[1], self.klass.p_body, self.grid),
-        )
+        return dual_from_form(spec[0], self.grid), dual_from_form(spec[1], self.grid)
 
     def resolve_obstacles(self):
         return [obstacle_from_form(name, self.spatial) for name in self.cfg["obstacles"]]
 
     def resolve_dual(self):
-        return dual_from_form(self.cfg["potential"], self.klass.p_body, self.grid)
+        return dual_from_form(self.cfg["potential"], self.grid)
 
     def lab(self) -> Lab:
         """The verification suites' fixtures: these grids and seeded pairs."""

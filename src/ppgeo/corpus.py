@@ -15,7 +15,7 @@ import numpy as np
 
 from .bodies import Body
 from .duality import DualPotential, SampledFunction
-from .grids import ConfigurationError, MomentGrid, SpatialGrid
+from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_body
 
 INF = float("inf")
 # random_dual: the range of the number of affine pieces, of their slopes,
@@ -81,8 +81,8 @@ def _sample_form(expr_id: str, kind: str, grid) -> np.ndarray:
     return np.array([form.fn(x) for x in grid.nodes().tolist()]).reshape(grid.shape)
 
 
-def dual_from_form(expr_id: str, body: Body, grid: MomentGrid) -> DualPotential:
-    return DualPotential(body, grid, _sample_form(expr_id, "dual", grid), provenance=expr_id)
+def dual_from_form(expr_id: str, grid: MomentGrid) -> DualPotential:
+    return DualPotential(grid.body, grid, _sample_form(expr_id, "dual", grid), provenance=expr_id)
 
 
 def obstacle_from_form(expr_id: str, spatial: SpatialGrid) -> SampledFunction:
@@ -115,26 +115,24 @@ def _random_profile(rng: np.random.Generator, lo: float, hi: float, p: np.ndarra
     return knot_vals[seg] + slopes[seg] * (p - edges[seg])
 
 
-def random_dual(rng: np.random.Generator, body: Body, grid: MomentGrid) -> DualPotential:
+def random_dual(rng: np.random.Generator, grid: MomentGrid) -> DualPotential:
     """Random convex dual: one piecewise-affine profile per axis, summed, plus an offset."""
     profiles = [_random_profile(rng, lo, hi, p) for lo, hi, p in zip(grid.lo, grid.hi, grid.axes())]
     vals = sum(np.meshgrid(*profiles, indexing="ij"))
     vals += rng.uniform(-RANDOM_OFFSET, RANDOM_OFFSET)
-    return DualPotential(body, grid, vals, provenance="random_piecewise_affine")
+    return DualPotential(grid.body, grid, vals, provenance="random_piecewise_affine")
 
 
 def random_dual_pairs(seed: int, count: int, body: Body,
                       grid: MomentGrid) -> list[tuple[DualPotential, DualPotential]]:
-    """Deterministic corpus of dual pairs for the verification suites."""
+    """Deterministic corpus of dual pairs for the verification suites; ``body`` is the grid's."""
+    check_body(body, grid)
     rng = np.random.default_rng(seed)
-    return [
-        (random_dual(rng, body, grid), random_dual(rng, body, grid))
-        for _ in range(count)
-    ]
+    return [(random_dual(rng, grid), random_dual(rng, grid)) for _ in range(count)]
 
 
-def pair_from_catalog(name: str, body: Body, grid: MomentGrid) -> tuple[DualPotential, DualPotential]:
+def pair_from_catalog(name: str, grid: MomentGrid) -> tuple[DualPotential, DualPotential]:
     if name not in PAIR_CATALOG:
         raise ConfigurationError(f"unknown bundled pair {name!r}")
     id0, id1, _ = PAIR_CATALOG[name]
-    return dual_from_form(id0, body, grid), dual_from_form(id1, body, grid)
+    return dual_from_form(id0, grid), dual_from_form(id1, grid)

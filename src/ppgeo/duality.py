@@ -1,10 +1,11 @@
 """Spatial samples, Legendre duals and the discrete transforms between them.
 
 A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
-an envelope); a ``DualPotential`` is +inf off its body's moment cells.
-``to_duals`` is the one place that turns samples into duals, one per
-body, from one transform (``to_dual`` is its one-body case), and
-``to_primal`` the one that samples a dual back on a spatial grid.
+an envelope); a ``DualPotential`` is +inf off its body's moment cells, and
+its body is its moment grid's.  ``to_duals`` is the one place that turns
+samples into duals, one per moment grid, from one transform (``to_dual`` is
+its one-grid case), and ``to_primal`` the one that samples a dual back on a
+spatial grid.
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull's vertices
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body
-from .grids import ConfigurationError, MomentGrid, SpatialGrid, tensor_nodes
+from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_body, tensor_nodes
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -191,12 +192,11 @@ def second_difference_slack(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Finite node values on a spatial grid, with the class body of its slopes if known."""
+    """Finite node values on a spatial grid."""
 
     grid: SpatialGrid
     values: np.ndarray = field(compare=False)
     provenance: str = "derived"
-    body: Body | None = None
 
     def __post_init__(self):
         if not isinstance(self.grid, SpatialGrid):
@@ -216,7 +216,10 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class DualPotential:
-    """A potential represented by its Legendre dual on a moment grid, +inf off ``grid.mask``."""
+    """A potential represented by its Legendre dual on a moment grid, +inf off ``grid.mask``.
+
+    ``body`` must be the grid's body.
+    """
 
     body: Body
     grid: MomentGrid
@@ -224,6 +227,7 @@ class DualPotential:
     provenance: str = "derived"
 
     def __post_init__(self):
+        check_body(self.body, self.grid)
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ConfigurationError("dual values do not match the moment grid")
@@ -260,38 +264,36 @@ class DualPotential:
         return DualPotential(self.body, self.grid, self.values - c, self.provenance)
 
 
-def to_duals(u: SampledFunction, bodies, grids) -> list[DualPotential]:
-    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on each body's moment grid.
+def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on each moment grid, on its body.
 
     One ``conjugate_nd`` call runs on the concatenated query axes, so every
-    line of u is hulled once, whatever the number of bodies.  Each query is
+    line of u is hulled once, whatever the number of grids.  Each query is
     resolved on its own, so dual i is bit for bit the one-target transform:
     its grid's block of the result (in 2d the diagonal block; the blocks
     that pair one grid's first axis with another's second are dropped).
     """
-    if not grids or len(bodies) != len(grids):
-        raise ConfigurationError("to_duals needs one moment grid per body, and at least one")
+    if not grids:
+        raise ConfigurationError("to_duals needs at least one moment grid")
     if any(g.ndim != u.grid.ndim for g in grids):
         raise ConfigurationError("the samples and the moment grid differ in dimension")
     queries = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
     vals = conjugate_nd(u.values, u.grid.axes(), queries)
     ends = np.cumsum([g.shape for g in grids], axis=0)
-    return [DualPotential(body, g, vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))],
+    return [DualPotential(g.body, g, vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))],
                           provenance=u.provenance)
-            for body, g, end in zip(bodies, grids, ends)]
+            for g, end in zip(grids, ends)]
 
 
 def to_dual(u: SampledFunction, target: MomentGrid) -> DualPotential:
-    """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the class body of u."""
-    if u.body is None:
-        raise ConfigurationError("to_dual needs the class body of u")
-    return to_duals(u, [u.body], [target])[0]
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the body of ``target``."""
+    return to_duals(u, [target])[0]
 
 
 def to_primal(g: DualPotential, target: SpatialGrid) -> SampledFunction:
     """u(x) = max over finite moment nodes of (<p,x> - g(p))."""
     vals = conjugate_nd(g.values, g.grid.axes(), target.axes())
-    return SampledFunction(target, vals, g.provenance, body=g.body)
+    return SampledFunction(target, vals, g.provenance)
 
 
 def clamped_hull(x: np.ndarray, hull: tuple[np.ndarray, np.ndarray, np.ndarray],

@@ -3,12 +3,12 @@
 Envelopes are computed through the dual.  The envelope's dual is f*
 restricted to the body's cells, which is all the distance routes read; they
 take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
-set for a list of bodies, exactly in every dimension: the obstacle's lower
-hull (in 2d its lower facets), found once for all the bodies and read with
-slopes in each body, beside one ``to_duals`` call.  Obstacle and envelope
-primal are both ``SampledFunction``s on the obstacle's spatial grid.  The
-envelope measure is ``ma_density`` of that primal (in 1d the clamped hull's
-atoms).
+set for a list of moment grids, each on the body it keeps, exactly in every
+dimension: the obstacle's lower hull (in 2d its lower facets), found once
+for all the grids and read with slopes in each grid's body, beside one
+``to_duals`` call.  Obstacle and envelope primal are both
+``SampledFunction``s on the obstacle's spatial grid.  The envelope measure
+is ``ma_density`` of that primal (in 1d the clamped hull's atoms).
 ``iterative_envelope``, one convexification of min(start, f), is the oracle.
 """
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .duality import (
     second_differences,
     to_duals,
 )
-from .grids import ConfigurationError, MomentGrid
+from .grids import ConfigurationError, MomentGrid, check_body
 from .measures import ma_density
 
 
@@ -62,10 +62,9 @@ class EnvelopeRecord:
     contact_tol: float
 
 
-def envelopes(f: SampledFunction, bodies, grids,
-              hessian_bound: float | None) -> list[EnvelopeRecord]:
-    """The envelope of f over each body, from one ``to_duals`` call and one hull of f."""
-    duals = to_duals(f, bodies, grids)
+def envelopes(f: SampledFunction, grids, hessian_bound: float | None) -> list[EnvelopeRecord]:
+    """The envelope of f over each grid's body, from one ``to_duals`` call and one hull of f."""
+    duals = to_duals(f, grids)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
     # every body reads the obstacle's lower hull (in 2d its lower facets), found once
@@ -74,9 +73,9 @@ def envelopes(f: SampledFunction, bodies, grids,
     else:
         hull = lower_facets(f.grid.nodes(), f.values.ravel())
     records = []
-    for body, dual in zip(bodies, duals):
-        primal_vals = _primal_with_vertex_slopes(f, body, hull)
-        primal = SampledFunction(f.grid, primal_vals, f.provenance, body=body)
+    for dual in duals:
+        primal = SampledFunction(f.grid, _primal_with_vertex_slopes(f, dual.body, hull),
+                                 f.provenance)
         records.append(EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol))
     return records
 
@@ -85,9 +84,10 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
              hessian_bound: float | None = None) -> EnvelopeRecord:
     """Largest convex function <= f with slopes in the body.
 
-    Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)).
+    Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)); ``body`` must be the grid's body.
     """
-    return envelopes(f, [body], [grid], hessian_bound)[0]
+    check_body(body, grid)
+    return envelopes(f, [grid], hessian_bound)[0]
 
 
 def _primal_with_vertex_slopes(f: SampledFunction, body: Body, hull) -> np.ndarray:

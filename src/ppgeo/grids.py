@@ -7,9 +7,13 @@ convex body) carrying Legendre duals.  What lives on them is in
 ``duality``: ``SampledFunction`` on a spatial grid, ``DualPotential`` on a
 moment grid.
 
-A grid stores its axes once, when it is built, as read-only arrays, and
-``axes()`` hands out those same arrays: every transform, quadrature and
-evaluation on a grid reads its coordinates without recomputing them.
+A moment grid keeps its body: it is built from the body and the cell
+counts, compares by them, and every dual on it reads its body from it.
+Both grids build their box with ``_box`` in ``__post_init__``, which
+validates it and stores the axes once, as read-only arrays; ``_Grid`` reads
+dimension, spacing, shape and nodes off them, and ``axes()`` hands out those
+same arrays, so every transform, quadrature and evaluation on a grid reads
+its coordinates without recomputing them.
 """
 from __future__ import annotations
 
@@ -29,15 +33,10 @@ def check_p(p: float) -> None:
         raise ConfigurationError(f"need a finite p >= 1, got {p}")
 
 
-def _spacing(lo, hi, cells) -> tuple:
-    return tuple((h - l) / c for l, h, c in zip(lo, hi, cells))
-
-
-def _keep_axes(grid, axes) -> None:
-    """Store ``axes`` on the frozen ``grid``, read-only, for ``axes()`` to return."""
-    for a in axes:
-        a.flags.writeable = False
-    object.__setattr__(grid, "_axes", tuple(axes))
+def check_body(body, grid) -> None:
+    """A dual's body is its moment grid's body."""
+    if body != grid.body:
+        raise ConfigurationError("the body is not the body of the moment grid")
 
 
 def tensor_nodes(axes: list[np.ndarray]) -> np.ndarray:
@@ -48,29 +47,29 @@ def tensor_nodes(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([a.ravel() for a in g], axis=1)
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Uniform lattice on a box; nodes include both endpoints per axis."""
+def _box(lo, hi, cells, centers: bool) -> dict:
+    """The validated box of a grid and its read-only axes: cell centers or lattice nodes."""
+    lo, hi = tuple(float(v) for v in lo), tuple(float(v) for v in hi)
+    cells = tuple(int(c) for c in cells)
+    n = len(lo)
+    if n not in (1, 2) or len(hi) != n or len(cells) != n:
+        raise ConfigurationError("grid dimension must be 1 or 2 and consistent")
+    for l, h, c in zip(lo, hi, cells):
+        if not l < h:
+            raise ConfigurationError(f"need lo < hi, got [{l}, {h}]")
+        if c < 8:
+            raise ConfigurationError(f"need at least 8 cells per axis, got {c}")
+    if centers:
+        axes = [l + (np.arange(c) + 0.5) * ((h - l) / c) for l, h, c in zip(lo, hi, cells)]
+    else:
+        axes = [np.linspace(l, h, c + 1) for l, h, c in zip(lo, hi, cells)]
+    for a in axes:
+        a.flags.writeable = False
+    return {"lo": lo, "hi": hi, "cells": cells, "_axes": tuple(axes)}
 
-    lo: tuple
-    hi: tuple
-    cells: tuple
-    _axes: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        n = len(self.lo)
-        if n not in (1, 2) or len(self.hi) != n or len(self.cells) != n:
-            raise ConfigurationError("grid dimension must be 1 or 2 and consistent")
-        for lo, hi, c in zip(self.lo, self.hi, self.cells):
-            if not lo < hi:
-                raise ConfigurationError(f"need lo < hi, got [{lo}, {hi}]")
-            if c < 8:
-                raise ConfigurationError(f"need at least 8 cells per axis, got {c}")
-        _keep_axes(self, [np.linspace(l, h, c + 1)
-                          for l, h, c in zip(self.lo, self.hi, self.cells)])
+class _Grid:
+    """What both grids read off their box: dimension, spacing, shape, axes and nodes."""
 
     @property
     def ndim(self) -> int:
@@ -78,14 +77,14 @@ class SpatialGrid:
 
     @property
     def spacing(self) -> tuple:
-        return _spacing(self.lo, self.hi, self.cells)
+        return tuple((h - l) / c for l, h, c in zip(self.lo, self.hi, self.cells))
 
     @property
     def shape(self) -> tuple:
-        return tuple(c + 1 for c in self.cells)
+        return tuple(len(a) for a in self._axes)
 
     def axes(self) -> list[np.ndarray]:
-        """The node coordinates per axis, endpoints included; read-only, stored once."""
+        """The coordinates per axis; read-only, stored once when the grid is built."""
         return list(self._axes)
 
     def nodes(self) -> np.ndarray:
@@ -94,55 +93,48 @@ class SpatialGrid:
 
 
 @dataclass(frozen=True)
-class MomentGrid:
-    """Cell-center grid over the bounding box of a convex body.
-
-    Nodes whose center lies in the body get the full cell volume as weight,
-    others get zero.  For intervals (n=1) the weights sum exactly to the
-    body volume; for polygons the boundary error is O(h * perimeter).
-    ``moment_grid`` builds it and keeps the cell centers it reads the mask
-    from as the grid's axes.
-    """
+class SpatialGrid(_Grid):
+    """Uniform lattice on a box; nodes include both endpoints per axis."""
 
     lo: tuple
     hi: tuple
     cells: tuple
-    mask: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
     _axes: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
+    def __post_init__(self):
+        for name, value in _box(self.lo, self.hi, self.cells, centers=False).items():
+            object.__setattr__(self, name, value)
 
-    @property
-    def spacing(self) -> tuple:
-        return _spacing(self.lo, self.hi, self.cells)
 
-    @property
-    def shape(self) -> tuple:
-        return tuple(self.cells)
+@dataclass(frozen=True)
+class MomentGrid(_Grid):
+    """Cell-center grid over the bounding box of a convex body, compared by body and cells.
 
-    def axes(self) -> list[np.ndarray]:
-        """The cell centers per axis; read-only, stored once by ``moment_grid``."""
-        return list(self._axes)
+    ``cells`` is a count per axis, or one count for every axis.  Nodes whose
+    center lies in the body get the full cell volume as weight, others get
+    zero.  For intervals (n=1) the weights sum exactly to the body volume;
+    for polygons the boundary error is O(h * perimeter).
+    """
 
-    def nodes(self) -> np.ndarray:
-        return tensor_nodes(self.axes())
+    body: object  # a ``bodies.Body``
+    cells: tuple
+    lo: tuple = field(init=False, compare=False)
+    hi: tuple = field(init=False, compare=False)
+    mask: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
+    _axes: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        cells = (self.cells,) * self.body.ndim if np.isscalar(self.cells) else self.cells
+        for name, value in _box(*self.body.bounding_box(), cells, centers=True).items():
+            object.__setattr__(self, name, value)
+        mask = self.body.contains(self.nodes()).reshape(self.shape)
+        if not mask.any():
+            raise ConfigurationError("body has no interior at this resolution")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "weights", np.where(mask, float(np.prod(self.spacing)), 0.0))
 
 
 def moment_grid(body, cells) -> MomentGrid:
     """Build the cell-center grid over ``body``'s bounding box."""
-    lo, hi = body.bounding_box()
-    cells = (cells,) * body.ndim if np.isscalar(cells) else tuple(int(c) for c in cells)
-    if any(c < 8 for c in cells):
-        raise ConfigurationError("need at least 8 moment cells per axis")
-    centers = [l + (np.arange(c) + 0.5) * s
-               for l, c, s in zip(lo, cells, _spacing(lo, hi, cells))]
-    mask = body.contains(tensor_nodes(centers)).reshape(cells)
-    if not mask.any():
-        raise ConfigurationError("body has no interior at this resolution")
-    weights = np.where(mask, float(np.prod(_spacing(lo, hi, cells))), 0.0)
-    grid = MomentGrid(tuple(lo), tuple(hi), cells, mask, weights)
-    _keep_axes(grid, centers)
-    return grid
+    return MomentGrid(body, cells)

@@ -123,7 +123,7 @@ def check_max_inequality(lab: Lab, p: float) -> TheoremReport:
         roof = rooftop(u, v)
         # max(u, v) in primal has dual = convexified pointwise-min of duals
         vmax_vals = convexify_moment_values(lab.grid, np.minimum(u.values, v.values))
-        vmax = DualPotential(u.body, lab.grid, vmax_vals, provenance="max")
+        vmax = DualPotential(lab.grid.body, lab.grid, vmax_vals, provenance="max")
         lhs = dp_endpoint(u, vmax, p)
         rhs = dp_endpoint(v, roof, p)
         slacks.append(max(0.0, rhs - lhs) / max(1.0, rhs))
@@ -162,7 +162,7 @@ def check_geodesic_metric(lab: Lab, p: float) -> TheoremReport:
 
 def cauchy_sequence(lab: Lab, kind: str, n: int) -> list[DualPotential]:
     """Synthetic sequence with d_p(u_j, u_{j+1}) <= 2^-j, by dual interpolation."""
-    body, grid = lab.klass.p_body, lab.grid
+    body, grid = lab.grid.body, lab.grid
     # the dual ramp p1, finite off the body too, where DualPotential puts +inf
     p1 = grid.nodes()[:, 0].reshape(grid.shape)
     if kind == "monotone":
@@ -226,7 +226,7 @@ def check_completeness(lab: Lab, p: float) -> TheoremReport:
 def check_monotone_continuity(lab: Lab, p: float) -> TheoremReport:
     """u_j decreasing to u forces d_p(u_j, u) -> 0; I_p^{1/p} decays too."""
     caps = CONTINUITY_CAPS
-    barrier = dual_from_form("dual_log_barrier", lab.klass.p_body, lab.grid)
+    barrier = dual_from_form("dual_log_barrier", lab.grid)
     truncations = [truncate_dual(barrier, m) for m in caps]
     gaps = [dp_endpoint(t, barrier, p) for t in truncations]
     ip_gaps = [i_p(t, barrier, p) ** (1.0 / p) for t in truncations]
@@ -262,10 +262,9 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     bounds = [CLOSED_FORMS[o].hessian_bound for o in obstacles]
     fs = [obstacle_from_form(o, lab.spatial) for o in obstacles]
     # the limit body, then the opening class: one transform and one hull per obstacle
-    bodies = (lab.klass.p_body,) + lab.family.bodies
     grids = (lab.family.base_grid,) + lab.family.grids
-    envs = envelopes(fs[0], bodies, grids, bounds[0])
-    others = to_duals(fs[1], bodies, grids)
+    envs = envelopes(fs[0], grids, bounds[0])
+    others = to_duals(fs[1], grids)
 
     def quantities(env, other):
         """I_p, the envelope density and the contact-masked velocity integrand."""
@@ -298,7 +297,7 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     slacks = [
         ip_gap,
         # >=99% of nodes must satisfy the slack-adjusted monotonicity
-        max(0.0, 0.99 - min(monotone_fracs)) if monotone_fracs else 0.0,
+        max(0.0, 0.99 - min(monotone_fracs)),
         max(0.0, max(sup_bounds) / density_bound - 1.0),
         # the masked velocity integrand must not drift away from its limit
         max(0.0, vel_l1[-1] / vel_scale - 1.0) * CONVERGENCE_TOL,

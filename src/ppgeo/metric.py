@@ -2,15 +2,15 @@
 formula, an independent dual oracle, the energy route for p=1, and the
 extension to singular (finite-energy) potentials by truncation.  The
 routes from obstacles read only their envelope duals, f* on each body's
-cells (``to_duals``: one transform per obstacle for all the bodies).
+cells (``to_duals``: one transform per obstacle for all the moment grids).
 
 Every distance integral is evaluated on dual cells (the velocity is the
 dual difference per cell), never by sampling velocities at spatial atoms:
 mass concentrates exactly at gradient ties, where spatial velocities are
 set-valued, while the dual-cell pairing is unambiguous.  The endpoint
 formula is one quadrature over the positive-weight cells, written once
-(``_dp_endpoints``): ``dp_limit`` prices its whole eps-table in one
-reduction of it and ``dp_endpoint`` is its one-pair case.
+(``_dp_endpoints``): ``dp_limit`` prices its whole eps-table and the
+limit pair in one reduction of it and ``dp_endpoint`` is its one-pair case.
 ``dp_dual_oracle`` re-adds the same terms with ``math.fsum`` as its
 independent check.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Body, EpsilonFamily
+from .bodies import EpsilonFamily
 from .duality import DualPotential, SampledFunction, convexify_moment_values, to_duals
 from .envelopes import rooftop
 from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p
@@ -138,29 +138,28 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
     return (math.fsum(terms) / vol) ** (1.0 / p)
 
 
-def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, body: Body,
-                  grid: MomentGrid, p: float) -> float:
-    """Distance within a fixed body: envelope duals first, then the dual cells."""
-    return dp_endpoint(*(to_duals(f, [body], [grid])[0] for f in (f0, f1)), p)
+def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, grid: MomentGrid,
+                  p: float) -> float:
+    """Distance within the grid's body: envelope duals first, then the dual cells."""
+    return dp_endpoint(*(to_duals(f, [grid])[0] for f in (f0, f1)), p)
 
 
 def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
              p: float) -> DistanceReport:
     """The limit distance: table of d_{p,eps}, affine extrapolation to 0.
 
-    Each obstacle is transformed once onto every body of the family and the
-    base body (on the family's base grid), whose duals (the last ones) give
-    the cross-route.  The table's distances are one ``_dp_endpoints``
-    reduction over the stacked eps-duals, each equal bit for bit to
-    ``dp_endpoint`` on its pair.
+    Each obstacle is transformed once onto every grid of the family and the
+    family's base grid, whose duals (the last ones) give the cross-route.
+    The table's distances and the limit pair's endpoint distance are one
+    ``_dp_endpoints`` reduction over the stacked duals, each equal bit for
+    bit to ``dp_endpoint`` on its pair.
     """
-    bodies = family.bodies + (family.base.p_body,)
     grids = family.grids + (family.base_grid,)
-    *duals0, u0 = to_duals(f0, bodies, grids)
-    *duals1, u1 = to_duals(f1, bodies, grids)
-    table = list(zip(family.schedule, family.volumes, _dp_endpoints(duals0, duals1, p)))
+    duals0, duals1 = to_duals(f0, grids), to_duals(f1, grids)
+    *d_eps, d_end = _dp_endpoints(duals0, duals1, p)
+    table = list(zip(family.schedule, family.volumes, d_eps))
     eps_arr = np.array([row[0] for row in table])
-    d_arr = np.array([row[2] for row in table])
+    d_arr = np.array(d_eps)
     # affine fit in eps on the last 3 schedule points
     coeffs, res = _affine_fit(eps_arr[-3:], d_arr[-3:])
     value = float(coeffs[0])
@@ -174,8 +173,7 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         )
     )
     # cross-route deviation against the limiting-class endpoint formula
-    d_end = dp_endpoint(u0, u1, p)
-    d_oracle = dp_dual_oracle(u0, u1, p)
+    d_oracle = dp_dual_oracle(duals0[-1], duals1[-1], p)
     return DistanceReport(
         p=p,
         value=value,

@@ -122,7 +122,7 @@ def test_05_pythagorean(pairs):
         rhs = dp_endpoint(u, roof, 2.0) ** 2 + dp_endpoint(v, roof, 2.0) ** 2
         worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
     # hand value: crossing pair splits 0.5 = 0.25 + 0.25 at p=1
-    u, v = pair_from_catalog("crossing_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("crossing_pair", GRID)
     roof = rooftop(u, v)
     hand = (
         abs(dp_endpoint(u, roof, 1.0) - 0.25) <= 1e-3
@@ -158,7 +158,7 @@ def test_06_geodesic_metric_property(pairs):
 
 
 def test_07_energy_distance_route(pairs):
-    u, v = pair_from_catalog("ramp_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("ramp_pair", GRID)
     hand = abs(d1_energy(u, v, SPATIAL) - 0.5) <= 0.01
     worst = 0.0
     for u, v in pairs[:20]:
@@ -211,8 +211,8 @@ def test_10_completeness():
 
 
 def test_11_singular_limits():
-    u = dual_from_form("dual_zero", KLASS.p_body, GRID)
-    v = dual_from_form("dual_log_barrier", KLASS.p_body, GRID)
+    u = dual_from_form("dual_zero", GRID)
+    v = dual_from_form("dual_log_barrier", GRID)
     d1 = dp_singular(u, v, 1.0).value
     d2 = dp_singular(u, v, 2.0).value
     ok = abs(d1 - 1.0) <= 0.02 and abs(d2 - math.sqrt(2)) <= 0.02 * math.sqrt(2)

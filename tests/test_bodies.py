@@ -116,3 +116,28 @@ def test_contains_boundary(square):
     pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [1.1, 0.5]])
     inside = square.contains(pts)
     assert inside.tolist() == [True, True, True, False]
+
+
+def _contains_by_edge(body, pts, tol):
+    """Reference: one left-of-edge test per edge, in a loop."""
+    v, inside = body.vertex_array, np.ones(len(pts), dtype=bool)
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        edge = b - a
+        cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
+        inside &= cross >= -tol * max(1.0, np.abs(edge).max())
+    return inside
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_contains_matches_the_per_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, int(rng.integers(3, 9))))
+        try:
+            body = Body(rng.uniform(0.1, 3.0) * np.column_stack([np.cos(angles), np.sin(angles)]))
+        except ConfigurationError:  # two angles too close for a strictly convex polygon
+            continue
+        v = body.vertex_array
+        pts = np.concatenate([rng.uniform(-3.0, 3.0, (500, 2)), v, 0.5 * (v + np.roll(v, -1, axis=0))])
+        for tol in (1e-12, 0.0, -1e-9):
+            assert np.array_equal(body.contains(pts, tol=tol), _contains_by_edge(body, pts, tol))

@@ -79,7 +79,7 @@ def test_infinite_nodes_drop_out():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_double_conjugate_is_identity_on_convex(seed):
-    u = random_dual(np.random.default_rng(seed), BODY, GRID)
+    u = random_dual(np.random.default_rng(seed), GRID)
     back = to_dual(to_primal(u, SPATIAL), GRID)
     h = max(max(SPATIAL.spacing), max(GRID.spacing))
     assert np.abs(back.values - u.values).max() <= 2 * h * 1.0
@@ -89,7 +89,7 @@ def test_double_conjugate_is_identity_on_convex(seed):
 @settings(max_examples=25, deadline=None)
 def test_order_reversal(seed):
     rng = np.random.default_rng(seed)
-    u = random_dual(rng, BODY, GRID)
+    u = random_dual(rng, GRID)
     # v = u + nonnegative offset, so primal(v) <= primal(u) and v* >= u*
     v = DualPotential(BODY, GRID, u.values + rng.uniform(0.0, 1.0), "shifted")
     pu = to_primal(u, SPATIAL).values
@@ -101,7 +101,7 @@ def test_order_reversal(seed):
 @settings(max_examples=25, deadline=None)
 def test_min_max_exchange(seed):
     rng = np.random.default_rng(seed)
-    u, v = random_dual(rng, BODY, GRID), random_dual(rng, BODY, GRID)
+    u, v = random_dual(rng, GRID), random_dual(rng, GRID)
     # conjugate of the pointwise max of duals = min of primals, convexified
     roof = DualPotential(BODY, GRID, np.maximum(u.values, v.values), "roof")
     proof = to_primal(roof, SPATIAL).values
@@ -136,7 +136,7 @@ def test_2d_double_conjugate_of_affine():
 
 
 def test_eval_primal_matches_to_primal():
-    u = random_dual(np.random.default_rng(11), BODY, GRID)
+    u = random_dual(np.random.default_rng(11), GRID)
     pts = SPATIAL.nodes()
     direct = u.eval_primal(pts)
     via_grid = to_primal(u, SPATIAL).values
@@ -146,20 +146,20 @@ def test_eval_primal_matches_to_primal():
 @pytest.mark.parametrize("body", [BODY, default_class_body(2).p_body], ids=["1d", "2d"])
 def test_eval_primal_on_no_points_returns_no_values(body):
     # a mixed measure with no mass hands energy zero atoms
-    u = dual_from_form("dual_quadratic", body, moment_grid(body, 16))
+    u = dual_from_form("dual_quadratic", moment_grid(body, 16))
     out = u.eval_primal(np.zeros((0, body.ndim)))
     assert out.shape == (0,)
 
 
 def test_to_primal_samples_on_a_spatial_grid_only():
-    u = random_dual(np.random.default_rng(5), BODY, GRID)
+    u = random_dual(np.random.default_rng(5), GRID)
     with pytest.raises(ConfigurationError, match="spatial grid"):
         to_primal(u, GRID)
 
 
 def test_to_dual_needs_a_moment_grid_of_the_samples_dimension():
     square = default_class_body(2).p_body
-    f = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic", body=square)
+    f = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic")
     with pytest.raises(ConfigurationError, match="differ in dimension"):
         to_dual(f, moment_grid(square, 16))
 
@@ -169,31 +169,27 @@ QUADRATIC = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic")
 
 def test_to_duals_needs_at_least_one_target():
     with pytest.raises(ConfigurationError, match="at least one"):
-        to_duals(QUADRATIC, [], [])
-
-
-@pytest.mark.parametrize("bodies", [[BODY, BODY], [BODY]], ids=["more_bodies", "more_grids"])
-def test_to_duals_needs_one_grid_per_body(bodies):
-    grids = [GRID] * (3 - len(bodies))
-    with pytest.raises(ConfigurationError, match="one moment grid per body"):
-        to_duals(QUADRATIC, bodies, grids)
+        to_duals(QUADRATIC, [])
 
 
 def test_to_duals_needs_every_grid_in_the_samples_dimension():
     square = default_class_body(2).p_body
     with pytest.raises(ConfigurationError, match="differ in dimension"):
-        to_duals(QUADRATIC, [BODY, square], [GRID, moment_grid(square, 16)])
+        to_duals(QUADRATIC, [GRID, moment_grid(square, 16)])
 
 
-def test_to_dual_keeps_the_body_that_to_primal_carries():
-    u = random_dual(np.random.default_rng(7), BODY, GRID)
-    primal = to_primal(u, SPATIAL)
-    assert primal.body == u.body
-    assert to_dual(primal, GRID).body == u.body
+def test_to_dual_reads_the_body_of_its_grid():
+    u = random_dual(np.random.default_rng(7), GRID)
+    assert u.body == GRID.body
+    assert to_dual(to_primal(u, SPATIAL), GRID).body == u.body
+    square = default_class_body(2).p_body
+    sp = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+    f = SampledFunction(sp, 0.5 * (sp.nodes() ** 2).sum(axis=1).reshape(sp.shape))
+    assert to_dual(f, moment_grid(square, 16)).body == square
 
 
 def test_convexify_moment_values_idempotent_on_convex():
-    u = random_dual(np.random.default_rng(3), BODY, GRID)
+    u = random_dual(np.random.default_rng(3), GRID)
     out = convexify_moment_values(GRID, u.values)
     assert np.allclose(out, u.values, atol=1e-10)
 
@@ -377,11 +373,11 @@ def _max_of_quadratic_and_affine(body, rng):
 def test_eval_primal_1d_matches_blocked_products(form):
     rng = np.random.default_rng(5)
     if form in ("random", "infinite_tail"):
-        u = random_dual(rng, BODY, GRID)
+        u = random_dual(rng, GRID)
     elif form in ("square", "triangle"):
         u = _max_of_quadratic_and_affine(SQUARE if form == "square" else TRIANGLE, rng)
     else:
-        u = dual_from_form(form, BODY, GRID)
+        u = dual_from_form(form, GRID)
     if form == "infinite_tail":
         vals = u.values.copy()
         vals[-40:] = np.inf
@@ -563,7 +559,7 @@ def test_gradient_matches_the_roll_and_mask_dual_gradient(body):
 def test_gradient_interior_matches_spacetime_central_slices(body):
     rng = np.random.default_rng(12)
     if body.ndim == 1:
-        u0, u1 = random_dual(rng, BODY, GRID), random_dual(rng, BODY, GRID)
+        u0, u1 = random_dual(rng, GRID), random_dual(rng, GRID)
         grid = SPATIAL
     else:
         u0, u1 = (_max_of_quadratic_and_affine(SQUARE, rng) for _ in range(2))

@@ -47,7 +47,7 @@ def test_obstacles_are_primal_closed_forms_as_duals_are_dual_ones():
         with pytest.raises(ConfigurationError, match=f"'{name}' is not a primal closed form"):
             obstacle_from_form(name, SPATIAL)
     with pytest.raises(ConfigurationError, match="'quadratic' is not a dual closed form"):
-        dual_from_form("quadratic", KLASS.p_body, GRID)
+        dual_from_form("quadratic", GRID)
 
 
 def test_admissible_obstacle_is_its_own_envelope():
@@ -153,15 +153,15 @@ def test_2d_envelope_primal_of_a_separable_obstacle_is_separable():
 
 
 def test_rooftop_is_pointwise_dual_max():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
-    v = dual_from_form("dual_vee", KLASS.p_body, GRID)
+    u = dual_from_form("dual_quadratic", GRID)
+    v = dual_from_form("dual_vee", GRID)
     r = rooftop(u, v)
     assert np.array_equal(r.values, np.maximum(u.values, v.values))
 
 
 def test_rooftop_commutes_with_envelope_of_min():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
-    v = dual_from_form("dual_vee", KLASS.p_body, GRID)
+    u = dual_from_form("dual_quadratic", GRID)
+    v = dual_from_form("dual_vee", GRID)
     r = rooftop(u, v)
     fmin = SampledFunction(
         SPATIAL,
@@ -176,7 +176,7 @@ def test_rooftop_commutes_with_envelope_of_min():
 
 def test_multi_rooftop_associative():
     forms = ["dual_zero", "dual_quadratic", "dual_vee"]
-    us = [dual_from_form(f, KLASS.p_body, GRID) for f in forms]
+    us = [dual_from_form(f, GRID) for f in forms]
     a = rooftop(*us)
     b = rooftop(rooftop(us[0], us[1]), us[2])
     assert np.array_equal(a.values, b.values)
@@ -232,7 +232,7 @@ def test_measure_identity_is_exact_for_admissible_obstacles(name, eps):
 def pushforward_density(rec):
     """Oracle: the body pushed forward through a 16x-refined f*, cloud-in-cell deposit."""
     fine = moment_grid(rec.dual.body, tuple(16 * c for c in rec.dual.grid.cells))
-    atoms = ma_atomic(to_duals(rec.obstacle, [rec.dual.body], [fine])[0])
+    atoms = ma_atomic(to_duals(rec.obstacle, [fine])[0])
     points, masses, grid = atoms.locations, atoms.masses, rec.obstacle.grid
     dens = np.zeros(grid.shape)
     pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
@@ -303,7 +303,7 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
 
 
 def _envelope_duals(f, body, grid):
-    return to_duals(f, [body], [grid])
+    return to_duals(f, [grid])
 
 
 @pytest.mark.parametrize("build", [envelope, _envelope_duals], ids=["envelope", "to_duals"])

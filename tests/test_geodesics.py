@@ -22,21 +22,21 @@ SPATIAL = SpatialGrid((-4.0,), (5.0,), (2048,))
 
 
 def test_endpoints_are_exact():
-    u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("quadratic_pair", GRID)
     c = geodesic(u, v)
     assert np.array_equal(c.dual_at(0.0), u.values)
     assert np.array_equal(c.dual_at(1.0), v.values)
 
 
 def test_reversal_is_bitwise():
-    u, v = pair_from_catalog("cusp_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("cusp_pair", GRID)
     c, r = geodesic(u, v), geodesic(v, u)
     for t in (0.0, 0.25, 0.5, 1.0):
         assert np.array_equal(c.dual_at(t), r.dual_at(1.0 - t))
 
 
 def test_restriction_is_a_geodesic():
-    u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("quadratic_pair", GRID)
     c = geodesic(u, v)
     sub = geodesic(u, c.potential_at(0.5))
     assert np.allclose(sub.dual_at(1.0), c.dual_at(0.5), atol=1e-15)
@@ -45,8 +45,8 @@ def test_restriction_is_a_geodesic():
 
 def test_known_geodesic_between_supports():
     # from the reference potential to max(0, x-1): u_t(x) = max(0, x - t)
-    u = dual_from_form("dual_zero", KLASS.p_body, GRID)
-    v = dual_from_form("dual_ramp", KLASS.p_body, GRID)
+    u = dual_from_form("dual_zero", GRID)
+    v = dual_from_form("dual_ramp", GRID)
     c = geodesic(u, v)
     vals = c.primal_at(0.5, SPATIAL)
     x = SPATIAL.axes()[0]
@@ -58,7 +58,7 @@ def test_known_geodesic_between_supports():
 
 
 def test_crossing_pair_midpoint_value():
-    u, v = pair_from_catalog("crossing_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("crossing_pair", GRID)
     c = geodesic(u, v)
     vals = c.primal_at(0.5, SPATIAL)
     x = SPATIAL.axes()[0]
@@ -67,7 +67,7 @@ def test_crossing_pair_midpoint_value():
 
 
 def test_velocity_is_dual_difference():
-    u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("quadratic_pair", GRID)
     c = geodesic(u, v)
     assert np.array_equal(c.dual_difference(), v.values - u.values)
 
@@ -83,7 +83,7 @@ def test_curve_checks_on_corpus():
 
 
 def test_spacetime_residual_scales_with_h():
-    u, v = pair_from_catalog("crossing_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("crossing_pair", GRID)
     res = []
     for cells in (512, 2048):
         sp = SpatialGrid((-4.0,), (5.0,), (cells,))

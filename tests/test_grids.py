@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ppgeo import (
     Body,
     ConfigurationError,
+    MomentGrid,
     SampledFunction,
     SpatialGrid,
     moment_grid,
@@ -34,6 +37,28 @@ def test_grids_store_their_axes(dims):
         for a in axes:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+
+@pytest.mark.parametrize("body", [Body([[-1.0], [2.0]]), Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])],
+                         ids=["interval", "triangle"])
+def test_a_moment_grid_is_its_body_and_cells(body):
+    built = moment_grid(body, 16)
+    for grid in (MomentGrid(body, 16), MomentGrid(body, (16,) * body.ndim),
+                 dataclasses.replace(built)):
+        assert grid == built and hash(grid) == hash(built) and grid.body == body
+        assert (grid.lo, grid.hi, grid.cells) == (built.lo, built.hi, built.cells)
+        assert all(np.array_equal(a, b) for a, b in zip(grid.axes(), built.axes(), strict=True))
+        assert np.array_equal(grid.mask, built.mask)
+        assert np.array_equal(grid.weights, built.weights)
+    assert dataclasses.replace(built, cells=24) != built
+
+
+def test_moment_grids_of_bodies_with_one_box_differ():
+    square = Body([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    triangle = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
+    a, b = moment_grid(square, 16), moment_grid(triangle, 16)
+    assert (a.lo, a.hi, a.cells) == (b.lo, b.hi, b.cells)
+    assert a != b
 
 
 def test_spatial_grid_validation():

@@ -39,7 +39,7 @@ def test_mass_conservation_exact():
 
 
 def test_atoms_of_affine_dual_concentrate():
-    u = dual_from_form("dual_ramp", KLASS.p_body, GRID)
+    u = dual_from_form("dual_ramp", GRID)
     atoms = ma_atomic(u)
     # dual u*(p) = p has gradient 1 everywhere: all mass at x = 1
     assert np.allclose(atoms.locations, 1.0, atol=1e-9)
@@ -47,7 +47,7 @@ def test_atoms_of_affine_dual_concentrate():
 
 
 def test_density_of_quadratic_dual():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
+    u = dual_from_form("dual_quadratic", GRID)
     field = ma_density(to_primal(u, SPATIAL))
     x = SPATIAL.axes()[0]
     inside = (x > 0.05) & (x < 0.95)
@@ -57,17 +57,17 @@ def test_density_of_quadratic_dual():
 
 
 def test_energy_of_reference_is_zero():
-    v = dual_from_form("dual_zero", KLASS.p_body, GRID)
+    v = dual_from_form("dual_zero", GRID)
     assert energy(v, SPATIAL) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_of_ramp_dual():
-    u = dual_from_form("dual_ramp", KLASS.p_body, GRID)
+    u = dual_from_form("dual_ramp", GRID)
     assert energy(u, SPATIAL) == pytest.approx(-0.5, abs=1e-3)
 
 
 def test_energy_shift_rule():
-    u = dual_from_form("dual_quadratic", KLASS.p_body, GRID)
+    u = dual_from_form("dual_quadratic", GRID)
     c = 0.73
     assert energy(u.shift(c), SPATIAL) == pytest.approx(
         energy(u, SPATIAL) + c, abs=1e-9
@@ -76,14 +76,14 @@ def test_energy_shift_rule():
 
 @pytest.mark.parametrize("form", ["dual_quadratic", "dual_vee", "dual_power_cusp"])
 def test_energy_against_dual_oracle(form):
-    u = dual_from_form(form, KLASS.p_body, GRID)
+    u = dual_from_form(form, GRID)
     assert energy(u, SPATIAL) == pytest.approx(dual_energy_oracle(u), abs=2e-3)
 
 
 def test_energy_rejects_singular_dual():
     from ppgeo.duality import DualPotential
 
-    vals = dual_from_form("dual_log_barrier", KLASS.p_body, GRID).values.copy()
+    vals = dual_from_form("dual_log_barrier", GRID).values.copy()
     vals[-1] = np.inf
     u = DualPotential(KLASS.p_body, GRID, vals, provenance="singular")
     with pytest.raises(RequiresTruncationError):
@@ -91,13 +91,13 @@ def test_energy_rejects_singular_dual():
 
 
 def test_i1_crossing_pair_hand_value():
-    u, v = pair_from_catalog("crossing_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("crossing_pair", GRID)
     # both measures are unit atoms (at x=1 and x=-1) where |u - v| = 1
     assert i_p(u, v, 1.0) == pytest.approx(2.0, rel=5e-3)
 
 
 def test_ip_symmetry_and_zero():
-    u, v = pair_from_catalog("quadratic_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("quadratic_pair", GRID)
     assert i_p(u, v, 2.0) == pytest.approx(i_p(v, u, 2.0), rel=1e-12)
     assert i_p(u, u, 2.0) == 0.0
 
@@ -129,7 +129,7 @@ def test_2d_energy_with_a_massless_mixed_measure():
     # on [1, 2]^2 the primal of dual_zero is affine, so the mixed measure has
     # no atoms and energy evaluates the primal at zero points
     klass = default_class_body(2)
-    u = dual_from_form("dual_zero", klass.p_body, moment_grid(klass.p_body, 16))
+    u = dual_from_form("dual_zero", moment_grid(klass.p_body, 16))
     sp = SpatialGrid((1.0, 1.0), (2.0, 2.0), (8, 8))
     assert ma_mixed_pair(u, u, sp).locations.shape == (0, 2)
     assert energy(u, sp) == 0.0

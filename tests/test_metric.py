@@ -41,7 +41,7 @@ from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.corpus import obstacle_from_form, random_dual_pairs
 from ppgeo.envelopes import envelopes
 from ppgeo.harness import check_epsilon_lemmas
-from ppgeo.measures import RequiresTruncationError
+from ppgeo.measures import RequiresTruncationError, i_p
 from ppgeo.metric import CSV_HEADER
 
 KLASS = default_class_body(1)
@@ -51,13 +51,13 @@ FAMILY = epsilon_family(KLASS, 1024)
 
 
 def test_ramp_pair_hand_values():
-    u, v = pair_from_catalog("ramp_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("ramp_pair", GRID)
     assert dp_endpoint(u, v, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert dp_endpoint(u, v, 2.0) == pytest.approx(3 ** -0.5, rel=1e-5)
 
 
 def test_crossing_pair_hand_values():
-    u, v = pair_from_catalog("crossing_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("crossing_pair", GRID)
     assert dp_endpoint(u, v, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert dp_endpoint(u, v, 2.0) == pytest.approx(3 ** -0.5, rel=1e-5)
 
@@ -108,7 +108,7 @@ def test_oracle_matches_numpy_scalar_loop():
 
 
 def test_d1_energy_route():
-    u, v = pair_from_catalog("ramp_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("ramp_pair", GRID)
     assert d1_energy(u, v, SPATIAL) == pytest.approx(0.5, rel=1e-2)
     for u, v in random_dual_pairs(17, 5, KLASS.p_body, GRID):
         assert d1_energy(u, v, SPATIAL) == pytest.approx(
@@ -128,7 +128,7 @@ def test_limit_route_matches_endpoint():
 
 def test_limit_route_ramp_pair_value():
     # primal obstacles of the ramp pair: 0-dual and p-dual potentials
-    u, v = pair_from_catalog("ramp_pair", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("ramp_pair", GRID)
     fu = SampledFunction(SPATIAL, to_primal(u, SPATIAL).values, "u")
     fv = SampledFunction(SPATIAL, to_primal(v, SPATIAL).values, "v")
     rep = dp_limit(fu, fv, FAMILY, 1.0)
@@ -136,8 +136,8 @@ def test_limit_route_ramp_pair_value():
 
 
 def test_singular_limits():
-    u = dual_from_form("dual_zero", KLASS.p_body, GRID)
-    v = dual_from_form("dual_log_barrier", KLASS.p_body, GRID)
+    u = dual_from_form("dual_zero", GRID)
+    v = dual_from_form("dual_log_barrier", GRID)
     r1 = dp_singular(u, v, 1.0)
     r2 = dp_singular(u, v, 2.0)
     assert r1.value == pytest.approx(1.0, rel=0.02)
@@ -149,7 +149,7 @@ def test_singular_limits():
 
 
 def test_endpoint_on_a_singular_dual_requires_truncation():
-    u, v = pair_from_catalog("log_barrier_singular", KLASS.p_body, GRID)
+    u, v = pair_from_catalog("log_barrier_singular", GRID)
     # the log barrier is +inf at p = 1; put that node on the last cell
     vals = v.values.copy()
     vals[-1] = np.inf
@@ -175,7 +175,7 @@ def test_2d_energy_on_a_triangle_raises():
 
 
 def test_truncation_is_monotone():
-    v = dual_from_form("dual_log_barrier", KLASS.p_body, GRID)
+    v = dual_from_form("dual_log_barrier", GRID)
     t4 = truncate_dual(v, 4.0)
     t8 = truncate_dual(v, 8.0)
     finite = np.isfinite(v.values)
@@ -210,6 +210,37 @@ def test_endpoint_matches_oracle_on_a_triangle():
         assert abs(d - dp_dual_oracle(e0.dual, e1.dual, p)) <= 1e-9 * d
 
 
+SQUARE = default_class_body(2).p_body
+# the paper's non-Kahler triangle: its bounding box is the unit square's
+TRIANGLE = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
+
+
+@pytest.mark.parametrize("route", [dp_endpoint, dp_dual_oracle, i_p, rooftop, geodesic],
+                         ids=["dp_endpoint", "dp_dual_oracle", "i_p", "rooftop", "geodesic"])
+@pytest.mark.parametrize("order", [1, -1], ids=["square_first", "triangle_first"])
+def test_duals_of_two_bodies_with_one_box_do_not_pair(route, order):
+    square, triangle = (dual_from_form("dual_quadratic", moment_grid(b, 16))
+                        for b in (SQUARE, TRIANGLE))
+    assert square.grid.lo == triangle.grid.lo and square.grid.hi == triangle.grid.hi
+    assert square.grid != triangle.grid
+    args = (square, triangle)[::order] + ((2.0,) if route in (dp_endpoint, dp_dual_oracle, i_p) else ())
+    with pytest.raises(ConfigurationError, match="common moment grid"):
+        route(*args)
+
+
+def test_a_dual_and_an_envelope_need_the_body_of_their_grid():
+    grid = moment_grid(TRIANGLE, 16)
+    with pytest.raises(ConfigurationError, match="body of the moment grid"):
+        DualPotential(SQUARE, grid, np.zeros(grid.shape))
+    sp = SpatialGrid((-2.0, -2.0), (3.0, 3.0), (16, 16))
+    f = SampledFunction(sp, 0.5 * (sp.nodes() ** 2).sum(axis=1).reshape(sp.shape))
+    with pytest.raises(ConfigurationError, match="body of the moment grid"):
+        envelope(f, SQUARE, grid)
+    with pytest.raises(ConfigurationError, match="body of the moment grid"):
+        random_dual_pairs(0, 1, SQUARE, grid)
+    assert envelope(f, TRIANGLE, grid).dual.body == TRIANGLE
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Positional arguments of each call of ``module.name``, through every ppgeo module holding it."""
     real, calls = getattr(module, name), []
@@ -236,7 +267,7 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     dp_limit(f, g, family, 2.0)
     # one transform per obstacle serves the 7 perturbed bodies and the base
     # body, whose grid the family holds
-    assert len(family.bodies) == 7
+    assert len(family.grids) == 7
     assert (len(hulls), len(envelopes), len(grids)) == (2, 0, 0)
 
 
@@ -247,7 +278,7 @@ def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
     # on the obstacle's nodes: its transform, the other obstacle's, and one
     # hull that the envelope primals of the base body and the 7 perturbed ones share
     nodes = len(lab.spatial.axes()[0])
-    assert (nodes, len(lab.family.bodies)) == (2049, 7)
+    assert (nodes, len(lab.family.grids)) == (2049, 7)
     assert sum(len(x) == nodes for x, _ in hulls) == 3
 
 
@@ -257,7 +288,7 @@ def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
     facets = count_calls(monkeypatch, ppgeo.duality, "lower_facets")
     # the suite samples its obstacles afresh; the base body and the 7 perturbed ones share a hull
     check_epsilon_lemmas(lab, 2.0)
-    assert len(lab.family.bodies) == 7
+    assert len(lab.family.grids) == 7
     assert len(facets) == 1
 
 
@@ -273,8 +304,8 @@ def _assert_limit_matches_full_envelopes(f0, f1, family):
     """dp_limit against its table and cross routes built from full envelope records, at every p."""
     base_grid = moment_grid(family.base.p_body, family.cells)
     *duals, (b0, b1) = [
-        (envelope(f0, body, grid).dual, envelope(f1, body, grid).dual)
-        for body, grid in zip(family.bodies + (family.base.p_body,), family.grids + (base_grid,))
+        (envelope(f0, grid.body, grid).dual, envelope(f1, grid.body, grid).dual)
+        for grid in family.grids + (base_grid,)
     ]
     for p in (1.0, 1.5, 2.0, 3.0):
         rep = dp_limit(f0, f1, family, p)
@@ -394,10 +425,10 @@ def test_one_transform_for_many_bodies_matches_one_per_body(seed, shape):
     ripple = 0.3 * np.cos(x @ waves.T + rng.uniform(0.0, 2 * np.pi, 2)).sum(axis=1)
     f = SampledFunction(sp, (0.5 * (x**2).sum(axis=1) + ripple).reshape(sp.shape), "ripple")
     bound = None if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
-    duals = to_duals(f, bodies, grids)
-    records = envelopes(f, bodies, grids, bound)
+    duals = to_duals(f, grids)
+    records = envelopes(f, grids, bound)
     for body, grid, dual, rec in zip(bodies, grids, duals, records, strict=True):
-        one = to_dual(SampledFunction(sp, f.values, "ripple", body=body), grid)
+        one = to_dual(f, grid)
         assert dual.body == body and dual.grid == grid
         # the +inf off the body's cells included
         assert np.array_equal(dual.values, one.values)
