@@ -187,7 +187,7 @@ class Experiment:
     def lab(self) -> Lab:
         """The verification suites' fixtures: these grids and seeded pairs."""
         pairs = random_dual_pairs(self.seed, self.cfg["suite_pairs"], self.klass.p_body, self.grid)
-        return Lab(self.klass, self.grid, self.spatial, self.family, tuple(pairs))
+        return Lab(self.spatial, self.family, tuple(pairs))
 
 
 def _check_out(out: str | None) -> None:

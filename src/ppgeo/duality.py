@@ -2,10 +2,12 @@
 
 A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
 an envelope); a ``DualPotential`` is +inf off its body's moment cells, and
-its body is its moment grid's.  ``to_duals`` is the one place that turns
-samples into duals, one per moment grid, from one transform (``to_dual`` is
-its one-grid case), and ``to_primal`` the one that samples a dual back on a
-spatial grid.
+its body is its moment grid's.  ``_dual_values`` is the one forward
+transform: one ``conjugate_nd`` call gives the dual of a sampled function
+on any number of moment grids, stacked grid after grid.  ``to_duals`` cuts
+that into duals, one per grid (``to_dual`` is its one-grid case), and the
+distance routes reduce it as it stands.  ``to_primal`` is the one transform
+that samples a dual back on a spatial grid.
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull's vertices
@@ -264,14 +266,16 @@ class DualPotential:
         return DualPotential(self.body, self.grid, self.values - c, self.provenance)
 
 
-def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
-    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on each moment grid, on its body.
+def _dual_values(u: SampledFunction, grids) -> np.ndarray:
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on every grid's cells, stacked.
 
     One ``conjugate_nd`` call runs on the concatenated query axes, so every
-    line of u is hulled once, whatever the number of grids.  Each query is
-    resolved on its own, so dual i is bit for bit the one-target transform:
-    its grid's block of the result (in 2d the diagonal block; the blocks
-    that pair one grid's first axis with another's second are dropped).
+    line of u is hulled once, whatever the number of grids.  The result is
+    each grid's block, ravelled, grid after grid: in 1d the conjugate as it
+    stands, in 2d its diagonal blocks (the blocks that pair one grid's first
+    axis with another's second are dropped).  Each query is resolved on its
+    own, so a block is bit for bit the one-grid transform.  Off a grid's
+    mask the values are finite; a ``DualPotential`` sets them to +inf.
     """
     if not grids:
         raise ConfigurationError("to_duals needs at least one moment grid")
@@ -279,10 +283,18 @@ def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
         raise ConfigurationError("the samples and the moment grid differ in dimension")
     queries = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
     vals = conjugate_nd(u.values, u.grid.axes(), queries)
+    if u.grid.ndim == 1:  # the blocks already lie end to end
+        return vals
     ends = np.cumsum([g.shape for g in grids], axis=0)
-    return [DualPotential(g.body, g, vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))],
-                          provenance=u.provenance)
-            for g, end in zip(grids, ends)]
+    return np.concatenate([vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))].ravel()
+                           for g, end in zip(grids, ends)])
+
+
+def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
+    """The dual of u on each moment grid, on its body: ``_dual_values`` cut into grids."""
+    blocks = np.split(_dual_values(u, grids), np.cumsum([g.mask.size for g in grids])[:-1])
+    return [DualPotential(g.body, g, b.reshape(g.shape), provenance=u.provenance)
+            for g, b in zip(grids, blocks)]
 
 
 def to_dual(u: SampledFunction, target: MomentGrid) -> DualPotential:

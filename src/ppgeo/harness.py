@@ -81,13 +81,22 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class Lab:
-    """Shared fixtures for the suites: bodies, grids, seeded corpus."""
+    """Shared fixtures for the suites: the spatial grid, the eps-family and seeded pairs.
 
-    klass: ClassBody
-    grid: MomentGrid
+    The class and its base moment grid are the family's.
+    """
+
     spatial: SpatialGrid
     family: EpsilonFamily
     pairs: tuple
+
+    @property
+    def klass(self) -> ClassBody:
+        return self.family.base
+
+    @property
+    def grid(self) -> MomentGrid:
+        return self.family.base_grid
 
     @property
     def h(self) -> float:

@@ -2,17 +2,19 @@
 formula, an independent dual oracle, the energy route for p=1, and the
 extension to singular (finite-energy) potentials by truncation.  The
 routes from obstacles read only their envelope duals, f* on each body's
-cells (``to_duals``: one transform per obstacle for all the moment grids).
+cells, as the stacked values of one transform per obstacle for all the
+moment grids (``duality._dual_values``); no dual is built to price them.
 
 Every distance integral is evaluated on dual cells (the velocity is the
 dual difference per cell), never by sampling velocities at spatial atoms:
 mass concentrates exactly at gradient ties, where spatial velocities are
 set-valued, while the dual-cell pairing is unambiguous.  The endpoint
 formula is one quadrature over the positive-weight cells, written once
-(``_dp_endpoints``): ``dp_limit`` prices its whole eps-table and the
-limit pair in one reduction of it and ``dp_endpoint`` is its one-pair case.
-``dp_dual_oracle`` re-adds the same terms with ``math.fsum`` as its
-independent check.
+(``_dp_endpoints``, on stacked values): ``dp_limit`` prices its whole
+eps-table and the limit pair in one reduction of its two transforms, and
+``dp_endpoint`` is its one-pair case, which checks that both duals are
+finite on their body.  ``dp_dual_oracle`` re-adds the same terms with
+libm's ``pow`` and ``math.fsum`` as its independent check.
 """
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bodies import EpsilonFamily
-from .duality import DualPotential, SampledFunction, convexify_moment_values, to_duals
+from .duality import DualPotential, SampledFunction, _dual_values, convexify_moment_values
 from .envelopes import rooftop
 from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p
 from .measures import energy, i_p, require_minimal_singularities
@@ -97,51 +100,57 @@ def dp_endpoint(u0: DualPotential, u1: DualPotential, p: float) -> float:
     It is the one-pair case of ``_dp_endpoints``; ``dp_dual_oracle`` is the
     independent check.
     """
-    return _dp_endpoints([u0], [u1], p)[0]
+    grid = _finite_pair_grid(u0, u1, "dp_endpoint")
+    return _dp_endpoints([grid], u0.values.ravel(), u1.values.ravel(), p)[0]
 
 
-def _dp_endpoints(duals0, duals1, p: float) -> list[float]:
-    """The endpoint formula on each pair (duals0[i], duals1[i]), all pairs in one reduction.
+def _finite_pair_grid(u0: DualPotential, u1: DualPotential, route: str) -> MomentGrid:
+    """The common moment grid of two duals that are finite on its body, or an error."""
+    if u0.grid != u1.grid:
+        raise ConfigurationError(f"{route} needs a common moment grid")
+    require_minimal_singularities(u0)
+    require_minimal_singularities(u1)
+    return u0.grid
 
-    The terms of every pair's positive-weight cells form one array, so the
-    checks, differences and powers run once.  Each pair's distance is then
-    the sum over its own cells, rooted as a scalar: bit for bit the pair on
-    its own, whatever the other pairs and their masks.
+
+def _dp_endpoints(grids, values0: np.ndarray, values1: np.ndarray, p: float) -> list[float]:
+    """The endpoint formula on each grid's block of two stacked dual arrays, in one reduction.
+
+    ``values0`` and ``values1`` hold the duals on every grid's cells, grid
+    after grid, each block ravelled (``duality._dual_values``), finite on
+    each grid's mask.  The terms of every pair's positive-weight cells form
+    one array, so the differences and powers run once.  Each pair's distance
+    is then the sum over its own cells, rooted as a scalar: bit for bit the
+    pair on its own, whatever the other pairs and their masks.
     """
-    if any(a.grid != b.grid for a, b in zip(duals0, duals1)):
-        raise ConfigurationError("dp_endpoint needs a common moment grid")
-    # the positive-weight cells are the body's cells, its grid's mask
-    pos = np.concatenate([u.grid.mask.ravel() for u in duals0])
-    w = np.concatenate([u.grid.weights.ravel() for u in duals0])[pos]
-    v0, v1 = (np.concatenate([u.values.ravel() for u in us])[pos] for us in (duals0, duals1))
-    if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
-        for u in (*duals0, *duals1):
-            require_minimal_singularities(u)  # raises for the first singular dual
     check_p(p)
-    terms = w * np.abs(v1 - v0) ** p
-    ends = list(itertools.accumulate(np.count_nonzero(u.grid.mask) for u in duals0))
-    return [float((terms[a:b].sum() / u.body.volume()) ** (1.0 / p))
-            for a, b, u in zip([0, *ends], ends, duals0)]
+    # the positive-weight cells are the body's cells, its grid's mask
+    pos = np.concatenate([g.mask.ravel() for g in grids])
+    w = np.concatenate([g.weights.ravel() for g in grids])[pos]
+    terms = w * np.abs(values1[pos] - values0[pos]) ** p
+    ends = list(itertools.accumulate(np.count_nonzero(g.mask) for g in grids))
+    return [float((terms[a:b].sum() / g.body.volume()) ** (1.0 / p))
+            for a, b, g in zip([0, *ends], ends, grids)]
 
 
 def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
-    """Same quadrature through an independent accumulation path (fsum)."""
-    if u0.grid != u1.grid:
-        raise ConfigurationError("dp_dual_oracle needs a common moment grid")
-    require_minimal_singularities(u0)
-    require_minimal_singularities(u1)
+    """Same quadrature through an independent accumulation path (fsum).
+
+    The cells and differences are exact in numpy; each power is libm's
+    ``pow`` on a Python float, and the sum is ``math.fsum``.
+    """
+    w = _finite_pair_grid(u0, u1, "dp_dual_oracle").weights
     check_p(p)
-    vol = u0.body.volume()
-    # Python floats round like numpy float64 scalars and loop several times faster
-    w, a, b = (x.ravel().tolist() for x in (u0.grid.weights, u0.values, u1.values))
-    terms = [wj * abs(bj - aj) ** p for wj, aj, bj in zip(w, a, b) if wj > 0.0]
-    return (math.fsum(terms) / vol) ** (1.0 / p)
+    pos = w > 0.0
+    d = np.abs(u1.values[pos] - u0.values[pos])
+    terms = map(operator.mul, w[pos].tolist(), map(pow, d.tolist(), itertools.repeat(p)))
+    return (math.fsum(terms) / u0.body.volume()) ** (1.0 / p)
 
 
 def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, grid: MomentGrid,
                   p: float) -> float:
     """Distance within the grid's body: envelope duals first, then the dual cells."""
-    return dp_endpoint(*(to_duals(f, [grid])[0] for f in (f0, f1)), p)
+    return _dp_endpoints([grid], _dual_values(f0, [grid]), _dual_values(f1, [grid]), p)[0]
 
 
 def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
@@ -149,19 +158,19 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
     """The limit distance: table of d_{p,eps}, affine extrapolation to 0.
 
     Each obstacle is transformed once onto every grid of the family and the
-    family's base grid, whose duals (the last ones) give the cross-route.
-    The table's distances and the limit pair's endpoint distance are one
-    ``_dp_endpoints`` reduction over the stacked duals, each equal bit for
-    bit to ``dp_endpoint`` on its pair.
+    family's base grid (``_dual_values``), whose block (the last one) gives
+    the cross-route.  The table's distances and the limit pair's endpoint
+    distance are one ``_dp_endpoints`` reduction over the stacked values,
+    each equal bit for bit to ``dp_endpoint`` on its pair; only the base
+    pair becomes ``DualPotential``s, for ``dp_dual_oracle``.
     """
     grids = family.grids + (family.base_grid,)
-    duals0, duals1 = to_duals(f0, grids), to_duals(f1, grids)
-    *d_eps, d_end = _dp_endpoints(duals0, duals1, p)
+    values0, values1 = _dual_values(f0, grids), _dual_values(f1, grids)
+    *d_eps, d_end = _dp_endpoints(grids, values0, values1, p)
     table = list(zip(family.schedule, family.volumes, d_eps))
-    eps_arr = np.array([row[0] for row in table])
     d_arr = np.array(d_eps)
     # affine fit in eps on the last 3 schedule points
-    coeffs, res = _affine_fit(eps_arr[-3:], d_arr[-3:])
+    coeffs, res = _affine_fit(np.array(family.schedule[-3:]), d_arr[-3:])
     value = float(coeffs[0])
     increments = np.abs(np.diff(d_arr))
     # settled when the tail step is the smallest and well below the largest
@@ -173,7 +182,10 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
         )
     )
     # cross-route deviation against the limiting-class endpoint formula
-    d_oracle = dp_dual_oracle(duals0[-1], duals1[-1], p)
+    base, n = family.base_grid, family.base_grid.mask.size
+    u0, u1 = (DualPotential(base.body, base, v[-n:].reshape(base.shape), f.provenance)
+              for f, v in ((f0, values0), (f1, values1)))
+    d_oracle = dp_dual_oracle(u0, u1, p)
     return DistanceReport(
         p=p,
         value=value,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,27 @@ def test_distance_endpoint(config, capsys):
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(0.5, abs=1e-12)
     assert payload["format_version"] == 1
+
+
+GOLDEN_LIMIT = json.loads(Path(__file__).with_name("golden_limit_reports.json").read_text())
+TRIANGLE_16 = {
+    "dimension": 2, "moment_cells": 16,
+    "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [32, 32]},
+    "p_body": [[0, 0], [1, 0], [0.3, 1]], "q_body": [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+}
+
+
+@pytest.mark.parametrize("case, cfg, p", [
+    ("1d-p1", {}, "1"), ("1d-p2", {}, "2"), ("1d-p3", {}, "3"), ("triangle-p2", TRIANGLE_16, "2"),
+])
+def test_limit_report_matches_its_golden_json(tmp_path, capsys, case, cfg, p):
+    """``ppgeo distance --route limit`` on the 1d default and on the triangle in
+    the square Q: every 12-digit field as pinned in ``golden_limit_reports.json``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc, out = run(capsys, "distance", "--route", "limit", "--p", p, "--config", str(path))
+    assert rc == 0
+    assert json.loads(out) == GOLDEN_LIMIT[case]
 
 
 def test_distance_csv_output(config, tmp_path, capsys):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import ppgeo.harness
-from ppgeo import DualPotential, TheoremReport, run_suites
+from ppgeo import DualPotential, Lab, TheoremReport, run_suites
 from ppgeo.cli import DEFAULT_CONFIG, Experiment
 from ppgeo.harness import (
     SUITES,
@@ -88,3 +89,9 @@ def test_epsilon_lemmas_monotone_density(lab):
 def test_unknown_suite_rejected(lab):
     with pytest.raises(KeyError):
         run_suites(["nope"], lab, 2.0)
+
+
+def test_lab_reads_its_class_and_grid_off_its_family(lab):
+    assert lab.grid is lab.family.base_grid
+    assert lab.klass is lab.family.base
+    assert [f.name for f in dataclasses.fields(Lab)] == ["spatial", "family", "pairs"]

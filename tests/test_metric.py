@@ -261,14 +261,21 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
     envelopes = count_calls(monkeypatch, ppgeo.envelopes, "envelope")
     grids = count_calls(monkeypatch, ppgeo.grids, "moment_grid")
+    cut = count_calls(monkeypatch, ppgeo.duality, "to_duals")
+    built = []
+    post_init = DualPotential.__post_init__
+    monkeypatch.setattr(DualPotential, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
     # fresh obstacles: no hull can come from an earlier call
     f = obstacle_from_form("quadratic", sp)
     g = obstacle_from_form("soft_ramp", sp)
     dp_limit(f, g, family, 2.0)
     # one transform per obstacle serves the 7 perturbed bodies and the base
-    # body, whose grid the family holds
+    # body, whose grid the family holds; the table is priced off the stacked
+    # transforms, and only the base pair becomes duals, for the oracle
     assert len(family.grids) == 7
     assert (len(hulls), len(envelopes), len(grids)) == (2, 0, 0)
+    assert (len(built), len(cut)) == (2, 0)
 
 
 def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):

@@ -17,8 +17,10 @@ dead code, and what only they call shows up once they are gone.
 The same scan pins the callers of the conjugate kernels: ``conjugate_1d``
 runs only inside ``_conjugate_along_axis``, which ``conjugate_nd`` runs once
 per axis and ``DualPotential.eval_primal`` once, at its query points; and
-``conjugate_nd`` runs only in the two transforms ``to_duals`` (whose
-one-body case is ``to_dual``) and ``to_primal``.  A second copy of the conjugate loop shows up as a new caller.
+``conjugate_nd`` runs only in the two transforms: ``_dual_values`` (the
+forward one, which ``to_duals`` cuts into duals and the distance routes
+reduce directly) and ``to_primal``.  A second copy of the conjugate loop
+shows up as a new caller.
 A load is attributed to the innermost definition whose lines hold it, as
 ``module.name``, or to the module when no definition holds it.
 """
@@ -42,7 +44,7 @@ ALLOWED = {
 CALLERS = {
     "conjugate_1d": {"duality._conjugate_along_axis"},
     "_conjugate_along_axis": {"duality.conjugate_nd", "duality.eval_primal"},
-    "conjugate_nd": {"duality.to_duals", "duality.to_primal"},
+    "conjugate_nd": {"duality._dual_values", "duality.to_primal"},
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
