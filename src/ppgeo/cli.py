@@ -156,37 +156,34 @@ class Experiment:
         check_config(cfg)
         self.cfg = cfg
         if "p_body" in cfg:
-            self.klass = ClassBody(Body(cfg["p_body"]), Body(cfg["q_body"]))
+            klass = ClassBody(Body(cfg["p_body"]), Body(cfg["q_body"]))
         else:
-            self.klass = default_class_body(cfg["dimension"])
+            klass = default_class_body(cfg["dimension"])
         sp = cfg["spatial"]
         self.spatial = SpatialGrid(tuple(sp["lo"]), tuple(sp["hi"]), tuple(sp["cells"]))
-        self.family = epsilon_family(
-            self.klass, cfg["moment_cells"], cfg["epsilon_schedule"]
-        )
-        self.grid = self.family.base_grid
+        self.family = epsilon_family(klass, cfg["moment_cells"], cfg["epsilon_schedule"])
         self.p = float(cfg["p"])
         self.seed = cfg["seed"]
 
     def resolve_pair(self):
-        spec = self.cfg["pair"]
+        spec, grid = self.cfg["pair"], self.family.base_grid
         if isinstance(spec, str):
-            return pair_from_catalog(spec, self.grid)
+            return pair_from_catalog(spec, grid)
         if isinstance(spec, dict):
             k = spec["seed_index"]
-            pairs = random_dual_pairs(self.seed, k + 1, self.klass.p_body, self.grid)
-            return pairs[k]
-        return dual_from_form(spec[0], self.grid), dual_from_form(spec[1], self.grid)
+            return random_dual_pairs(self.seed, k + 1, grid.body, grid)[k]
+        return dual_from_form(spec[0], grid), dual_from_form(spec[1], grid)
 
     def resolve_obstacles(self):
         return [obstacle_from_form(name, self.spatial) for name in self.cfg["obstacles"]]
 
     def resolve_dual(self):
-        return dual_from_form(self.cfg["potential"], self.grid)
+        return dual_from_form(self.cfg["potential"], self.family.base_grid)
 
     def lab(self) -> Lab:
         """The verification suites' fixtures: these grids and seeded pairs."""
-        pairs = random_dual_pairs(self.seed, self.cfg["suite_pairs"], self.klass.p_body, self.grid)
+        grid = self.family.base_grid
+        pairs = random_dual_pairs(self.seed, self.cfg["suite_pairs"], grid.body, grid)
         return Lab(self.spatial, self.family, tuple(pairs))
 
 
@@ -259,7 +256,8 @@ def cmd_geodesic(exp: Experiment, args) -> int:
 
 def cmd_envelope(exp: Experiment, args) -> int:
     f = exp.resolve_obstacles()[0]
-    rec = envelope(f, exp.klass.p_body, exp.grid,
+    grid = exp.family.base_grid
+    rec = envelope(f, grid.body, grid,
                    hessian_bound=CLOSED_FORMS[f.provenance].hessian_bound)
     payload = {
         "obstacle": f.provenance,
@@ -280,7 +278,7 @@ def cmd_ma(exp: Experiment, args) -> int:
     payload = {
         "potential": u.provenance,
         "total_mass": atoms.total_mass,
-        "class_volume": exp.klass.volume,
+        "class_volume": exp.family.base.volume,
         "atom_count": int(atoms.masses.size),
     }
     if u.has_minimal_singularities:

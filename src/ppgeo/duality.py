@@ -94,10 +94,10 @@ def lower_facets(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
 
 
 def max_affine(points: np.ndarray, slopes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """max_k (<g_k, x> + c_k) at each point, in blocks of about 2**20 products."""
-    step = max(1, 2**20 // len(slopes))
+    """max_k (<g_k, x> + c_k) at each point, in blocks of about 2**20 products; -inf for no plane."""
+    step = 2**20 // max(1, len(slopes))
     blocks = (points[s : s + step] @ slopes.T + offsets for s in range(0, len(points), step))
-    return np.concatenate([np.empty(0)] + [block.max(axis=1) for block in blocks])
+    return np.concatenate([np.empty(0)] + [block.max(axis=1, initial=-np.inf) for block in blocks])
 
 
 def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ Envelopes are computed through the dual.  The envelope's dual is f*
 restricted to the body's cells, which is all the distance routes read; they
 take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
 set for a list of moment grids, each on the body it keeps, exactly in every
-dimension: the obstacle's lower hull (in 2d its lower facets), found once
-for all the grids and read with slopes in each grid's body, beside one
-``to_duals`` call.  Obstacle and envelope primal are both
+dimension from the obstacle's lower hull, found once for all the grids,
+beside one ``to_duals`` call: in 1d the hull clamped to the body's slopes,
+in 2d the planes of the lower facets whose slopes lie in the body, maxed
+with that 1d rule along each body edge.  Obstacle and envelope primal are both
 ``SampledFunction``s on the obstacle's spatial grid.  The envelope measure
 is ``ma_density`` of that primal (in 1d the clamped hull's atoms).
 ``iterative_envelope``, one convexification of min(start, f), is the oracle.
@@ -74,7 +75,7 @@ def envelopes(f: SampledFunction, grids, hessian_bound: float | None) -> list[En
         hull = lower_facets(f.grid.nodes(), f.values.ravel())
     records = []
     for dual in duals:
-        primal = SampledFunction(f.grid, _primal_with_vertex_slopes(f, dual.body, hull),
+        primal = SampledFunction(f.grid, _primal_from_hull(f, dual.body, hull),
                                  f.provenance)
         records.append(EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol))
     return records
@@ -90,31 +91,32 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     return envelopes(f, [grid], hessian_bound)[0]
 
 
-def _primal_with_vertex_slopes(f: SampledFunction, body: Body, hull) -> np.ndarray:
+def _primal_from_hull(f: SampledFunction, body: Body, hull) -> np.ndarray:
     """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes, exactly.
 
     ``hull`` is the obstacle's ``lower_hull`` in 1d, which ``clamped_hull``
     clamps to the body's slope interval, and its ``lower_facets`` in 2d.
-    There the concave, piecewise affine q -> <q,x> - f*(q) peaks at a body
-    vertex, at a kink of f* on a body edge or at a lower-facet slope inside
-    the body.
+    There the concave, piecewise affine q -> <q,x> - f*(q) peaks on the body's
+    boundary or at a lower-facet slope g inside it, where f*(g) = -c is the
+    facet's offset: the sup is the max of those facets' planes and, per body
+    edge [a, b], the 1d rule on the edge, <a,x> plus the hull of
+    (<b - a, x_i>, f_i - <a, x_i>) clamped to slopes in [0, 1].
     """
     if f.grid.ndim == 1:
         (a,), (b,) = body.bounding_box()
         return clamped_hull(f.grid.axes()[0], hull, a, b)
     x, v = f.grid.nodes(), f.values.ravel()
-    slopes, _, vertices = hull
-    xh, vh, corners = x[vertices], v[vertices], body.vertex_array  # f* is a max over the hull vertices
-    q = [corners, slopes[body.contains(slopes)]]
+    slopes, offsets, vertices = hull
+    inside = body.contains(slopes)
+    out = max_affine(x, slopes[inside], offsets[inside])
+    xh, vh, corners = x[vertices], v[vertices], body.vertex_array
     for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-        # f*(a + t (b - a)) is the 1d conjugate of (<b - a, x_i>, f_i - <a, x_i>), lowest per x
         s, w = xh @ (b - a), vh - xh @ a
         order = np.lexsort((w, s))
-        first = order[np.unique(s[order], return_index=True)[1]]
-        t = lower_hull(s[first], w[first])[2]
-        q.append(a + t[(t > 0) & (t < 1), None] * (b - a))
-    q = np.concatenate(q)
-    return max_affine(x, q, -max_affine(q, xh, -vh)).reshape(f.grid.shape)
+        first = order[np.unique(s[order], return_index=True)[1]]  # lowest value per projection
+        edge = clamped_hull(x @ (b - a), lower_hull(s[first], w[first]), 0.0, 1.0)
+        out = np.maximum(out, x @ a + edge)
+    return out.reshape(f.grid.shape)
 
 
 def iterative_envelope(f: SampledFunction, start: SampledFunction) -> SampledFunction:

@@ -23,6 +23,7 @@ from ppgeo.duality import (
     clamped_hull,
     conjugate_nd,
     conjugate_oracle,
+    lower_facets,
     lower_hull,
     lower_hull_indices,
     to_duals,
@@ -144,12 +145,50 @@ def test_2d_envelope_primal_dominates_a_refined_slope_grid():
 
 def test_2d_envelope_primal_of_a_separable_obstacle_is_separable():
     spatial = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64))
-    (g1, g2), f = separable_ripple(spatial)
-    primal = envelope(f, SQUARE, moment_grid(SQUARE, 32)).primal.values
     x1, x2 = spatial.axes()
-    exact = (clamped_hull(x1, lower_hull(x1, g1), 0.0, 1.0)[:, None]
-             + clamped_hull(x2, lower_hull(x2, g2), 0.0, 1.0)[None, :])
-    assert np.abs(primal - exact).max() <= 1e-12
+    # the steep obstacle's lower-facet slopes all lie outside the square (first
+    # coordinate near 10), so no facet plane enters and the body's edges give it all
+    steep = (10 * x1 + 0.01 * x1**2 + 0.2 * np.cos(2.3 * x1), x2**2 / 2 + 0.2 * np.cos(1.7 * x2))
+    for g1, g2 in (separable_ripple(spatial)[0], steep):
+        f = SampledFunction(spatial, g1[:, None] + g2[None, :], "separable")
+        primal = envelope(f, SQUARE, moment_grid(SQUARE, 32)).primal.values
+        exact = (clamped_hull(x1, lower_hull(x1, g1), 0.0, 1.0)[:, None]
+                 + clamped_hull(x2, lower_hull(x2, g2), 0.0, 1.0)[None, :])
+        assert np.abs(primal - exact).max() <= 1e-12
+    assert not SQUARE.contains(lower_facets(spatial.nodes(), f.values.ravel())[0]).any()
+
+
+def brute_force_primal(f, body):
+    """The 2d envelope primal as a max over candidate slopes, f* a max over all samples.
+
+    Kept as the reference: the sup of the concave, piecewise affine
+    q -> <q,x> - f*(q) over a polygon is attained at a corner, at a
+    lower-facet slope inside it or at a kink of f* along an edge.
+    """
+    x, v = f.grid.nodes(), f.values.ravel()
+    corners = body.vertex_array
+    slopes = lower_facets(x, v)[0]
+    q = [corners, slopes[body.contains(slopes)]]
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        # t -> f*(a + t (b - a)) is the 1d conjugate of (<b - a, x_i>, f_i - <a, x_i>)
+        s, w = x @ (b - a), v - x @ a
+        order = np.lexsort((w, s))
+        first = order[np.unique(s[order], return_index=True)[1]]
+        t = lower_hull(s[first], w[first])[2]
+        q.append(a + t[(t > 0) & (t < 1), None] * (b - a))
+    q = np.concatenate(q)
+    star = (q @ x.T - v).max(axis=1)
+    return (x @ q.T - star).max(axis=1).reshape(f.grid.shape)
+
+
+def test_2d_envelope_primal_on_a_polygon_is_exact():
+    spatial = SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64))
+    x = spatial.nodes().reshape(spatial.shape + (2,))
+    ripple = 0.2 * np.cos(2.3 * x[..., 0] + 0.7) * np.cos(1.7 * x[..., 1] + 2.1)
+    f = SampledFunction(spatial, 0.5 * (x**2).sum(-1) + ripple, "ripple")
+    primal = envelope(f, SLANTED, moment_grid(SLANTED, 32)).primal.values
+    scale = max(1.0, np.abs(f.values).max())
+    assert np.abs(primal - brute_force_primal(f, SLANTED)).max() <= 1e-12 * scale
 
 
 def test_rooftop_is_pointwise_dual_max():

@@ -293,10 +293,12 @@ def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
     lab = Experiment(dict(DEFAULT_CONFIG, dimension=2, moment_cells=16, suite_pairs=1,
                           spatial={"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [32, 32]})).lab()
     facets = count_calls(monkeypatch, ppgeo.duality, "lower_facets")
-    # the suite samples its obstacles afresh; the base body and the 7 perturbed ones share a hull
+    planes = count_calls(monkeypatch, ppgeo.duality, "max_affine")
+    # the suite samples its obstacles afresh; the base body and the 7 perturbed ones share a hull,
+    # and each of the 8 envelope primals reads its facet planes in one max over planes
     check_epsilon_lemmas(lab, 2.0)
     assert len(lab.family.grids) == 7
-    assert len(facets) == 1
+    assert (len(facets), len(planes)) == (1, 8)
 
 
 def _compressed_endpoint(u0, u1, p):
