@@ -3,7 +3,9 @@
 A cohomology class is modeled by a full-dimensional convex body P (interval
 in 1d, CCW polygon in 2d); the reference perturbation shape is a second
 body Q with 0 strictly inside.  The approximating classes are the Minkowski
-sums P + eps * Q.
+sums P + eps * Q.  ``epsilon_family`` builds their moment grids once, with
+the base grid of P and the stacked layout (``grids.GridStack``) that the
+limit route prices its whole eps-table from.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConfigurationError, MomentGrid, moment_grid
+from .grids import ConfigurationError, GridStack, MomentGrid, grid_stack, moment_grid
 
 # the default epsilon schedule: 0.2 halved six times
 DEFAULT_SCHEDULE = tuple(0.2 * 0.5**k for k in range(7))
@@ -158,7 +160,10 @@ class EpsilonFamily:
     """The family P_eps = P + eps*Q as per-eps moment grids, each on its body, and volumes.
 
     It also holds ``base_grid``, the moment grid of the limiting body P at the
-    same cells, so every route to the limit reads one base grid and builds none.
+    same cells, so every route to the limit reads one base grid and builds none,
+    and ``stack``, the ``GridStack`` of ``grids + (base_grid,)``: one forward
+    transform onto all of them and one reduction of the endpoint formula read
+    it, and nothing about the grids is rebuilt per call.
     """
 
     base: ClassBody
@@ -167,9 +172,16 @@ class EpsilonFamily:
     grids: tuple = field(compare=False)
     volumes: tuple = field(compare=False)
     base_grid: MomentGrid = field(compare=False)
+    stack: GridStack = field(compare=False)
 
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
+    """The grids of P + eps*Q for each eps of ``schedule`` (``DEFAULT_SCHEDULE`` by default).
+
+    The schedule must hold two or more strictly decreasing positive numbers.
+    Every grid has the cells of the base grid of P, and the family's stack
+    and volumes are built here, once.
+    """
     schedule = DEFAULT_SCHEDULE if schedule is None else tuple(float(e) for e in schedule)
     # two entries at least: the limit route fits a line through the schedule
     if len(schedule) < 2 or any(e <= 0 for e in schedule) or any(
@@ -179,5 +191,6 @@ def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
             "epsilon schedule must be two or more strictly decreasing positive numbers")
     base_grid = moment_grid(base.p_body, cells)
     grids = tuple(moment_grid(base.perturbed(e), base_grid.cells) for e in schedule)
-    volumes = tuple(g.body.volume() for g in grids)
-    return EpsilonFamily(base, schedule, base_grid.cells, grids, volumes, base_grid)
+    stack = grid_stack(grids + (base_grid,))
+    return EpsilonFamily(base, schedule, base_grid.cells, grids, stack.volumes[:-1], base_grid,
+                         stack)

@@ -4,19 +4,24 @@ A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
 an envelope); a ``DualPotential`` is +inf off its body's moment cells, and
 its body is its moment grid's.  ``_dual_values`` is the one forward
 transform: one ``conjugate_nd`` call gives the dual of a sampled function
-on any number of moment grids, stacked grid after grid.  ``to_duals`` cuts
-that into duals, one per grid (``to_dual`` is its one-grid case), and the
-distance routes reduce it as it stands.  ``to_primal`` is the one transform
-that samples a dual back on a spatial grid.
+on any number of moment grids, stacked grid after grid as their
+``GridStack`` lays them out (a family and every moment grid hold theirs).
+``to_duals`` cuts that into duals, one per grid (``to_dual`` is its
+one-grid case), and the distance routes reduce it as it stands.
+``to_primal`` is the one transform that samples a dual back on a spatial
+grid.
 
 The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull's vertices
 (``lower_hull``, the one reader of ``lower_hull_indices``, where one
 vectorised chord test drops the samples that cannot be vertices before the
 monotone chain runs) and then resolves every query slope with a single
-sorted lookup.  A 1d double transform over a slope interval is read off a
+sorted lookup.  ``conjugate_1d`` scans a line for finite values once and
+copies it only when some value is +inf; a line with none conjugates to
+-inf.  A 1d double transform over a slope interval is read off a
 hull (``clamped_hull``), so one hull serves any number of intervals.
-``conjugate_nd`` is one 1d pass per axis, and ``DualPotential.eval_primal``
+``conjugate_nd`` is one 1d pass per axis (a 1d array is one line, hulled
+as it stands), and ``DualPotential.eval_primal``
 is the first of those passes, at the query points, followed by a max over
 the remaining axes.  One convexification (``convexify_moment_values``)
 serves spatial and moment grids; in 2d it reads the lower facets of the 3d
@@ -33,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body
-from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_body, tensor_nodes
+from .grids import (ConfigurationError, GridStack, MomentGrid, SpatialGrid, check_body,
+                    grid_stack, tensor_nodes)
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -65,15 +71,13 @@ def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _finite_samples(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples with a finite value, in one pass: ``x`` and ``v`` themselves when all are."""
     finite = np.isfinite(v)
-    if not finite.any():
-        raise ConfigurationError("conjugate of a function with no finite values")
-    return x[finite], v[finite]
+    return (x, v) if finite.all() else (x[finite], v[finite])
 
 
 def lower_hull(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, values and edge slopes of the lower hull of the finite samples."""
-    x, v = _finite_samples(x, v)
+    """Nodes, values and edge slopes of the lower hull of finite samples."""
     hull = lower_hull_indices(x, v)
     xs, vs = x[hull], v[hull]
     return xs, vs, (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
@@ -101,7 +105,13 @@ def max_affine(points: np.ndarray, slopes: np.ndarray, offsets: np.ndarray) -> n
 
 
 def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out."""
+    """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out.
+
+    With no finite entry it is -inf, a max over no nodes.
+    """
+    x, v = _finite_samples(x, v)
+    if not len(v):
+        return np.full(np.shape(q), -np.inf)
     xs, vs, slopes = lower_hull(x, v)
     k = np.searchsorted(slopes, q, side="left")
     return q * xs[k] - vs[k]
@@ -114,15 +124,13 @@ def conjugate_oracle(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _conjugate_along_axis(values: np.ndarray, nodes: np.ndarray,
                           queries: np.ndarray, axis: int) -> np.ndarray:
-    """1d conjugate of ``values`` along ``axis`` sampled at ``queries``.
-
-    A line with no finite value conjugates to -inf (a max over no nodes).
-    """
+    """1d conjugate of ``values`` along ``axis`` sampled at ``queries``, line by line."""
+    if values.ndim == 1:  # one line: no loop to set up
+        return conjugate_1d(nodes, values, queries)
     moved = values.swapaxes(axis, -1)
-    out = np.full(moved.shape[:-1] + (len(queries),), -np.inf)
+    out = np.empty(moved.shape[:-1] + (len(queries),))
     for idx in np.ndindex(moved.shape[:-1]):
-        if np.isfinite(moved[idx]).any():
-            out[idx] = conjugate_1d(nodes, moved[idx], queries)
+        out[idx] = conjugate_1d(nodes, moved[idx], queries)
     return out.swapaxes(axis, -1)
 
 
@@ -266,33 +274,29 @@ class DualPotential:
         return DualPotential(self.body, self.grid, self.values - c, self.provenance)
 
 
-def _dual_values(u: SampledFunction, grids) -> np.ndarray:
-    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on every grid's cells, stacked.
+def _dual_values(u: SampledFunction, stack: GridStack) -> np.ndarray:
+    """u*(p) = max over spatial nodes of (<p,x> - u(x)) on every stacked grid's cells.
 
-    One ``conjugate_nd`` call runs on the concatenated query axes, so every
-    line of u is hulled once, whatever the number of grids.  The result is
-    each grid's block, ravelled, grid after grid: in 1d the conjugate as it
+    One ``conjugate_nd`` call runs on the stack's query axes, so every line
+    of u is hulled once, whatever the number of grids.  The result is each
+    grid's block, ravelled, grid after grid: in 1d the conjugate as it
     stands, in 2d its diagonal blocks (the blocks that pair one grid's first
     axis with another's second are dropped).  Each query is resolved on its
     own, so a block is bit for bit the one-grid transform.  Off a grid's
     mask the values are finite; a ``DualPotential`` sets them to +inf.
     """
-    if not grids:
-        raise ConfigurationError("to_duals needs at least one moment grid")
-    if any(g.ndim != u.grid.ndim for g in grids):
+    if len(stack.queries) != u.grid.ndim:
         raise ConfigurationError("the samples and the moment grid differ in dimension")
-    queries = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
-    vals = conjugate_nd(u.values, u.grid.axes(), queries)
+    vals = conjugate_nd(u.values, u.grid.axes(), stack.queries)
     if u.grid.ndim == 1:  # the blocks already lie end to end
         return vals
-    ends = np.cumsum([g.shape for g in grids], axis=0)
-    return np.concatenate([vals[tuple(slice(e - n, e) for e, n in zip(end, g.shape))].ravel()
-                           for g, end in zip(grids, ends)])
+    return np.concatenate([vals[block].ravel() for block in stack.blocks])
 
 
 def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
     """The dual of u on each moment grid, on its body: ``_dual_values`` cut into grids."""
-    blocks = np.split(_dual_values(u, grids), np.cumsum([g.mask.size for g in grids])[:-1])
+    stack = grids[0].stack if len(grids) == 1 else grid_stack(grids)
+    blocks = np.split(_dual_values(u, stack), np.cumsum([g.mask.size for g in grids])[:-1])
     return [DualPotential(g.body, g, b.reshape(g.shape), provenance=u.provenance)
             for g, b in zip(grids, blocks)]
 
@@ -340,7 +344,7 @@ def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) 
     """
     axes = grid.axes()
     if grid.ndim == 1:
-        return clamped_hull(axes[0], lower_hull(axes[0], values))
+        return clamped_hull(axes[0], lower_hull(*_finite_samples(axes[0], values)))
     out, nodes = values.flatten(), tensor_nodes(axes)
     finite = np.flatnonzero(np.isfinite(out))
     line = nodes[finite] - nodes[finite[0]]

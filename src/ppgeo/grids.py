@@ -14,9 +14,17 @@ validates it and stores the axes once, as read-only arrays; ``_Grid`` reads
 dimension, spacing, shape and nodes off them, and ``axes()`` hands out those
 same arrays, so every transform, quadrature and evaluation on a grid reads
 its coordinates without recomputing them.
+
+Moment grids that one forward transform serves together form a
+``GridStack`` (``grid_stack``): their query axes end to end, each grid's
+block of the transform, and the positive-weight cells, weights, block ends
+and body volumes that the endpoint formula reads.  Every moment grid holds
+its own one-grid stack and an ``EpsilonFamily`` holds the stack of its
+grids, so no distance route builds a layout per call.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -113,7 +121,8 @@ class MomentGrid(_Grid):
     ``cells`` is a count per axis, or one count for every axis.  Nodes whose
     center lies in the body get the full cell volume as weight, others get
     zero.  For intervals (n=1) the weights sum exactly to the body volume;
-    for polygons the boundary error is O(h * perimeter).
+    for polygons the boundary error is O(h * perimeter).  ``stack`` is the
+    grid's own ``GridStack``, which ``dp_endpoint`` and ``to_dual`` read.
     """
 
     body: object  # a ``bodies.Body``
@@ -123,6 +132,7 @@ class MomentGrid(_Grid):
     mask: np.ndarray = field(init=False, compare=False, repr=False)
     weights: np.ndarray = field(init=False, compare=False, repr=False)
     _axes: tuple = field(init=False, compare=False, repr=False)
+    stack: GridStack = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cells = (self.cells,) * self.body.ndim if np.isscalar(self.cells) else self.cells
@@ -133,8 +143,53 @@ class MomentGrid(_Grid):
             raise ConfigurationError("body has no interior at this resolution")
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "weights", np.where(mask, float(np.prod(self.spacing)), 0.0))
+        object.__setattr__(self, "stack", grid_stack((self,)))
 
 
 def moment_grid(body, cells) -> MomentGrid:
     """Build the cell-center grid over ``body``'s bounding box."""
     return MomentGrid(body, cells)
+
+
+@dataclass(frozen=True, eq=False)
+class GridStack:
+    """Moment grids stacked grid after grid: the layout of one forward transform onto all of them.
+
+    Per axis, ``queries`` holds every grid's coordinates end to end, and
+    ``blocks`` holds each grid's block of the transform on them (in 2d the
+    diagonal block, which pairs the grid's own two axes).  The
+    positive-weight cells of the stacked, ravelled blocks are ``pos`` (None
+    when every cell is positive, as on an interval, whose box is the
+    interval), with their ``weights``, the end of each grid's cells among
+    them (``ends``) and each body's volume (``volumes``).
+    """
+
+    queries: tuple
+    blocks: tuple
+    pos: np.ndarray | None
+    weights: np.ndarray
+    ends: tuple
+    volumes: tuple
+
+
+def grid_stack(grids) -> GridStack:
+    """The layout of ``grids``, stacked grid after grid; grids and families build theirs once."""
+    if not grids:
+        raise ConfigurationError("need at least one moment grid")
+    if len({g.ndim for g in grids}) > 1:
+        raise ConfigurationError("the moment grids differ in dimension")
+    queries = tuple(_end_to_end(axes) for axes in zip(*(g.axes() for g in grids)))
+    ends = np.cumsum([g.shape for g in grids], axis=0).tolist()
+    blocks = tuple(tuple(slice(e - n, e) for e, n in zip(end, g.shape))
+                   for g, end in zip(grids, ends))
+    mask = _end_to_end([g.mask.ravel() for g in grids])
+    weights = _end_to_end([g.weights.ravel() for g in grids])
+    pos = None if mask.all() else mask
+    cells = itertools.accumulate(int(np.count_nonzero(g.mask)) for g in grids)
+    return GridStack(queries, blocks, pos, weights if pos is None else weights[pos],
+                     tuple(cells), tuple(g.body.volume() for g in grids))
+
+
+def _end_to_end(arrays: list) -> np.ndarray:
+    """The arrays joined; one array as it stands, so a grid's own stack copies nothing."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

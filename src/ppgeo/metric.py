@@ -13,8 +13,11 @@ formula is one quadrature over the positive-weight cells, written once
 (``_dp_endpoints``, on stacked values): ``dp_limit`` prices its whole
 eps-table and the limit pair in one reduction of its two transforms, and
 ``dp_endpoint`` is its one-pair case, which checks that both duals are
-finite on their body.  ``dp_dual_oracle`` re-adds the same terms with
-libm's ``pow`` and ``math.fsum`` as its independent check.
+finite on their body.  The cells, weights, block ends and volumes it sums
+with come from a ``grids.GridStack`` built with the grids (the family's
+for ``dp_limit``, the grid's own for ``dp_endpoint``), never per call.
+``dp_dual_oracle`` re-adds the same terms with libm's ``pow`` and
+``math.fsum`` as its independent check.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from .bodies import EpsilonFamily
 from .duality import DualPotential, SampledFunction, _dual_values, convexify_moment_values
 from .envelopes import rooftop
-from .grids import ConfigurationError, MomentGrid, SpatialGrid, check_p
+from .grids import ConfigurationError, GridStack, MomentGrid, SpatialGrid, check_p
 from .measures import energy, i_p, require_minimal_singularities
 
 FORMAT_VERSION = 1
@@ -100,8 +103,8 @@ def dp_endpoint(u0: DualPotential, u1: DualPotential, p: float) -> float:
     It is the one-pair case of ``_dp_endpoints``; ``dp_dual_oracle`` is the
     independent check.
     """
-    grid = _finite_pair_grid(u0, u1, "dp_endpoint")
-    return _dp_endpoints([grid], u0.values.ravel(), u1.values.ravel(), p)[0]
+    stack = _finite_pair_grid(u0, u1, "dp_endpoint").stack
+    return _dp_endpoints(stack, u0.values.ravel(), u1.values.ravel(), p)[0]
 
 
 def _finite_pair_grid(u0: DualPotential, u1: DualPotential, route: str) -> MomentGrid:
@@ -113,24 +116,25 @@ def _finite_pair_grid(u0: DualPotential, u1: DualPotential, route: str) -> Momen
     return u0.grid
 
 
-def _dp_endpoints(grids, values0: np.ndarray, values1: np.ndarray, p: float) -> list[float]:
-    """The endpoint formula on each grid's block of two stacked dual arrays, in one reduction.
+def _dp_endpoints(stack: GridStack, values0: np.ndarray, values1: np.ndarray,
+                  p: float) -> list[float]:
+    """The endpoint formula on each stacked grid's block of two dual arrays, in one reduction.
 
     ``values0`` and ``values1`` hold the duals on every grid's cells, grid
     after grid, each block ravelled (``duality._dual_values``), finite on
     each grid's mask.  The terms of every pair's positive-weight cells form
-    one array, so the differences and powers run once.  Each pair's distance
-    is then the sum over its own cells, rooted as a scalar: bit for bit the
-    pair on its own, whatever the other pairs and their masks.
+    one array, so the differences and powers run once; the stack holds those
+    cells, their weights, the end of each pair's cells and each body's
+    volume.  Each pair's distance is then the sum over its own cells, rooted
+    as a scalar: bit for bit the pair on its own, whatever the other pairs
+    and their masks.
     """
     check_p(p)
-    # the positive-weight cells are the body's cells, its grid's mask
-    pos = np.concatenate([g.mask.ravel() for g in grids])
-    w = np.concatenate([g.weights.ravel() for g in grids])[pos]
-    terms = w * np.abs(values1[pos] - values0[pos]) ** p
-    ends = list(itertools.accumulate(np.count_nonzero(g.mask) for g in grids))
-    return [float((terms[a:b].sum() / g.body.volume()) ** (1.0 / p))
-            for a, b, g in zip([0, *ends], ends, grids)]
+    if stack.pos is not None:  # the zero-weight cells, off the body, drop out
+        values0, values1 = values0[stack.pos], values1[stack.pos]
+    terms = stack.weights * np.abs(values1 - values0) ** p
+    return [float((terms[a:b].sum() / vol) ** (1.0 / p))
+            for a, b, vol in zip((0, *stack.ends), stack.ends, stack.volumes)]
 
 
 def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
@@ -150,7 +154,8 @@ def dp_dual_oracle(u0: DualPotential, u1: DualPotential, p: float) -> float:
 def dp_fixed_body(f0: SampledFunction, f1: SampledFunction, grid: MomentGrid,
                   p: float) -> float:
     """Distance within the grid's body: envelope duals first, then the dual cells."""
-    return _dp_endpoints([grid], _dual_values(f0, [grid]), _dual_values(f1, [grid]), p)[0]
+    return _dp_endpoints(grid.stack, _dual_values(f0, grid.stack), _dual_values(f1, grid.stack),
+                         p)[0]
 
 
 def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
@@ -158,28 +163,28 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
     """The limit distance: table of d_{p,eps}, affine extrapolation to 0.
 
     Each obstacle is transformed once onto every grid of the family and the
-    family's base grid (``_dual_values``), whose block (the last one) gives
-    the cross-route.  The table's distances and the limit pair's endpoint
-    distance are one ``_dp_endpoints`` reduction over the stacked values,
-    each equal bit for bit to ``dp_endpoint`` on its pair; only the base
-    pair becomes ``DualPotential``s, for ``dp_dual_oracle``.
+    family's base grid (``_dual_values`` on ``family.stack``), whose block
+    (the last one) gives the cross-route.  The table's distances and the
+    limit pair's endpoint distance are one ``_dp_endpoints`` reduction over
+    the stacked values, each equal bit for bit to ``dp_endpoint`` on its
+    pair; only the base pair becomes ``DualPotential``s, for
+    ``dp_dual_oracle``.  ``converged`` needs two table increments at least:
+    on a two-entry schedule it is false.
     """
-    grids = family.grids + (family.base_grid,)
-    values0, values1 = _dual_values(f0, grids), _dual_values(f1, grids)
-    *d_eps, d_end = _dp_endpoints(grids, values0, values1, p)
+    values0, values1 = _dual_values(f0, family.stack), _dual_values(f1, family.stack)
+    *d_eps, d_end = _dp_endpoints(family.stack, values0, values1, p)
     table = list(zip(family.schedule, family.volumes, d_eps))
     d_arr = np.array(d_eps)
     # affine fit in eps on the last 3 schedule points
     coeffs, res = _affine_fit(np.array(family.schedule[-3:]), d_arr[-3:])
     value = float(coeffs[0])
     increments = np.abs(np.diff(d_arr))
-    # settled when the tail step is the smallest and well below the largest
+    # settled when the tail step is the smallest and well below the largest;
+    # a single step has nothing to be compared with, so it shows no settling
     converged = bool(
-        increments.size < 2
-        or (
-            increments[-1] <= increments.min() + 1e-15
-            and increments[-1] <= 0.5 * increments.max()
-        )
+        increments.size >= 2
+        and increments[-1] <= increments.min() + 1e-15
+        and increments[-1] <= 0.5 * increments.max()
     )
     # cross-route deviation against the limiting-class endpoint formula
     base, n = family.base_grid, family.base_grid.mask.size

@@ -262,20 +262,23 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     envelopes = count_calls(monkeypatch, ppgeo.envelopes, "envelope")
     grids = count_calls(monkeypatch, ppgeo.grids, "moment_grid")
     cut = count_calls(monkeypatch, ppgeo.duality, "to_duals")
-    built = []
-    post_init = DualPotential.__post_init__
+    built, measured = [], []
+    post_init, volume = DualPotential.__post_init__, Body.volume
     monkeypatch.setattr(DualPotential, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(Body, "volume", lambda self: measured.append(self) or volume(self))
     # fresh obstacles: no hull can come from an earlier call
     f = obstacle_from_form("quadratic", sp)
     g = obstacle_from_form("soft_ramp", sp)
     dp_limit(f, g, family, 2.0)
     # one transform per obstacle serves the 7 perturbed bodies and the base
     # body, whose grid the family holds; the table is priced off the stacked
-    # transforms, and only the base pair becomes duals, for the oracle
+    # transforms, and only the base pair becomes duals, for the oracle; the
+    # family holds its stacked cells, weights and volumes, so only the oracle
+    # measures a body
     assert len(family.grids) == 7
     assert (len(hulls), len(envelopes), len(grids)) == (2, 0, 0)
-    assert (len(built), len(cut)) == (2, 0)
+    assert (len(built), len(cut), len(measured)) == (2, 0, 1)
 
 
 def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
@@ -309,14 +312,14 @@ def _compressed_endpoint(u0, u1, p):
     return float((np.sum(w[pos] * np.abs(d) ** p) / u0.body.volume()) ** (1.0 / p))
 
 
-def _assert_limit_matches_full_envelopes(f0, f1, family):
-    """dp_limit against its table and cross routes built from full envelope records, at every p."""
+def _assert_limit_matches_full_envelopes(f0, f1, family, ps=(1.0, 1.5, 2.0, 3.0)):
+    """dp_limit against its table and cross routes built from full envelope records, at each p."""
     base_grid = moment_grid(family.base.p_body, family.cells)
     *duals, (b0, b1) = [
         (envelope(f0, grid.body, grid).dual, envelope(f1, grid.body, grid).dual)
         for grid in family.grids + (base_grid,)
     ]
-    for p in (1.0, 1.5, 2.0, 3.0):
+    for p in ps:
         rep = dp_limit(f0, f1, family, p)
         table = [(eps, vol, _compressed_endpoint(a, b, p))
                  for eps, vol, (a, b) in zip(family.schedule, family.volumes, duals)]
@@ -357,6 +360,28 @@ def test_limit_matches_full_envelopes_triangle():
     # each eps-grid has its own mask, so the table's rows sum over different cells
     assert len({int(g.mask.sum()) for g in family.grids}) == len(family.grids)
     _assert_limit_matches_full_envelopes(*_quadratic_obstacles(), family)
+
+
+def test_limit_matches_full_envelopes_on_two_spatial_grids():
+    # each obstacle is transformed from its own nodes onto the family's grids
+    f = obstacle_from_form("quadratic", SpatialGrid((-4.0,), (5.0,), (256,)))
+    g = obstacle_from_form("soft_ramp", SpatialGrid((-3.0,), (4.5,), (301,)))
+    _assert_limit_matches_full_envelopes(f, g, epsilon_family(KLASS, 64))
+    sp = SpatialGrid((-2.0, -2.5), (3.0, 3.5), (24, 28))
+    x, y = np.meshgrid(*sp.axes(), indexing="ij")
+    f2 = SampledFunction(sp, 0.5 * (x**2 + y**2) + 0.2 * np.cos(2 * x + y), "ripple")
+    klass = ClassBody(Body([(0, 0), (1, 0), (0.3, 1)]), default_class_body(2).q_body)
+    _assert_limit_matches_full_envelopes(f2, _quadratic_obstacles()[1], epsilon_family(klass, 16),
+                                         ps=(1.0, 2.0))
+
+
+def test_limit_on_a_two_entry_schedule_does_not_claim_convergence():
+    # the fit passes through both points and one increment has nothing to be compared with
+    f = obstacle_from_form("quadratic", SPATIAL)
+    g = obstacle_from_form("soft_ramp", SPATIAL)
+    rep = dp_limit(f, g, epsilon_family(KLASS, 64, (0.2, 0.1)), 2.0)
+    assert (len(rep.table), rep.fit_residual, rep.converged) == (2, 0.0, False)
+    assert dp_limit(f, g, epsilon_family(KLASS, 64, (0.2, 0.1, 0.05)), 2.0).table[:2] == rep.table
 
 
 def _random_triangle(rng) -> Body:
@@ -445,6 +470,35 @@ def test_one_transform_for_many_bodies_matches_one_per_body(seed, shape):
         assert np.array_equal(rec.dual.values, one.values)
         assert np.array_equal(rec.primal.values, alone.primal.values)
         assert np.array_equal(rec.contact_mask, alone.contact_mask)
+
+
+def _ripple(sp, rng):
+    """A random quadratic bowl, tilt and cosine ripple, sampled on ``sp``."""
+    x = sp.nodes()
+    waves = rng.uniform(-3.0, 3.0, (2, sp.ndim))
+    ripple = 0.3 * np.cos(x @ waves.T + rng.uniform(0.0, 2 * np.pi, 2)).sum(axis=1)
+    values = 0.5 * rng.uniform(0.5, 2.0) * (x**2).sum(axis=1) + x @ rng.uniform(-1.0, 1.0, sp.ndim)
+    return SampledFunction(sp, (values + ripple).reshape(sp.shape), "ripple")
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["interval", "triangle"]),
+       schedule=st.lists(st.floats(1e-3, 0.5), min_size=2, max_size=4, unique=True),
+       cells=st.integers(16, 24), p=st.floats(1.0, 4.0))
+def test_limit_matches_full_envelopes_on_random_families(seed, shape, schedule, cells, p):
+    """The table and cross routes of ``dp_limit``, priced off the family's stacked layout, are
+    bit for bit the endpoint formula on each grid's own envelope duals."""
+    rng = np.random.default_rng(seed)
+    if shape == "interval":
+        a = rng.uniform(-1.0, 1.0)
+        klass = ClassBody(Body([[a], [a + rng.uniform(0.25, 2.0)]]),
+                          Body([[-rng.uniform(0.25, 2.0)], [rng.uniform(0.25, 2.0)]]))
+        sp = SpatialGrid((-4.0,), (5.0,), (int(rng.integers(64, 257)),))
+    else:
+        klass = ClassBody(_random_triangle(rng), default_class_body(2).q_body)
+        sp = SpatialGrid((-2.5, -2.5), (3.5, 3.5), (24, 20))
+    family = epsilon_family(klass, cells, sorted(schedule, reverse=True))
+    _assert_limit_matches_full_envelopes(_ripple(sp, rng), _ripple(sp, rng), family, ps=(p,))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
