@@ -15,8 +15,11 @@ The forward transform of a sampled function equals the transform of its
 lower convex hull, so each 1d pass reads the hull's vertices
 (``lower_hull``, the one reader of ``lower_hull_indices``, where one
 vectorised chord test drops the samples that cannot be vertices before the
-monotone chain runs) and then resolves every query slope with a single
-sorted lookup.  ``conjugate_1d`` scans a line for finite values once and
+monotone chain runs) and then finds each query slope's hull piece: many
+ascending queries per vertex (a ``GridStack`` keeps its queries ascending)
+by one search per hull slope among the queries (``_fill_pieces``), any
+other queries by one search per query among the slopes; both give the same
+floats.  ``conjugate_1d`` scans a line for finite values once and
 copies it only when some value is +inf; a line with none conjugates to
 -inf.  A 1d double transform over a slope interval is read off a
 hull (``clamped_hull``), so one hull serves any number of intervals.
@@ -104,17 +107,56 @@ def max_affine(points: np.ndarray, slopes: np.ndarray, offsets: np.ndarray) -> n
     return np.concatenate([np.empty(0)] + [block.max(axis=1, initial=-np.inf) for block in blocks])
 
 
+# where the piece fill starts to win (scripts/bench_lookup.py, BENCH_lookup.json):
+# from 513 ascending queries with 4 or more per hull vertex, not at 257 or below
+_FILL_MIN_QUERIES = 512
+_FILL_QUERIES_PER_VERTEX = 4
+
+
 def conjugate_1d(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """max_i (q * x_i - v_i) for each query slope q; +inf entries drop out.
 
-    With no finite entry it is -inf, a max over no nodes.
+    With no finite entry it is -inf, a max over no nodes.  The max at q is
+    attained at hull vertex k, k the number of hull slopes below q.  At
+    least 512 ascending queries with 4 or more per hull vertex (a stacked
+    eps-table, a piecewise affine dual sampled back) are filled piece by
+    piece (``_fill_pieces``): one binary search per hull slope among the
+    queries, where one per query among the slopes costs 1.1 to 5 times
+    more, the more the more queries.  Fewer queries (the fill's fixed cost
+    of a few numpy calls dominates), a smooth line (about one vertex per
+    query) and unsorted queries (``eval_primal``'s points) keep the
+    per-query search.  Both give the same floats.
     """
-    x, v = _finite_samples(x, v)
+    x, v, q = *_finite_samples(x, v), np.asarray(q)
     if not len(v):
-        return np.full(np.shape(q), -np.inf)
+        return np.full(q.shape, -np.inf)
     xs, vs, slopes = lower_hull(x, v)
+    if (q.ndim == 1 and len(q) >= max(_FILL_MIN_QUERIES, _FILL_QUERIES_PER_VERTEX * len(xs))
+            and (q[1:] >= q[:-1]).all()):
+        return _fill_pieces(xs, vs, slopes, q)
     k = np.searchsorted(slopes, q, side="left")
     return q * xs[k] - vs[k]
+
+
+def _fill_pieces(xs: np.ndarray, vs: np.ndarray, slopes: np.ndarray,
+                 q: np.ndarray) -> np.ndarray:
+    """q * xs[k] - vs[k] for ascending q, k the number of hull ``slopes`` below q.
+
+    Piece k holds the queries with slopes[k-1] < q <= slopes[k], so it ends
+    where ``side="right"`` places slopes[k] among the queries: the same k as
+    ``np.searchsorted(slopes, q, side="left")``, ties included, and the same
+    float expression, so the result is bit for bit that lookup's.  The hull's
+    slopes never decrease (equal ones give an empty piece), so no piece count
+    is negative; ``np.repeat`` would raise on one.
+    """
+    ends = np.empty(len(xs) + 1, dtype=np.intp)
+    ends[0], ends[-1] = 0, len(q)
+    ends[1:-1] = q.searchsorted(slopes, side="right")
+    counts = ends[1:] - ends[:-1]
+    out = xs.repeat(counts)
+    out *= q
+    out -= vs.repeat(counts)
+    return out
 
 
 def conjugate_oracle(x: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -277,10 +319,12 @@ class DualPotential:
 def _dual_values(u: SampledFunction, stack: GridStack) -> np.ndarray:
     """u*(p) = max over spatial nodes of (<p,x> - u(x)) on every stacked grid's cells.
 
-    One ``conjugate_nd`` call runs on the stack's query axes, so every line
-    of u is hulled once, whatever the number of grids.  The result is each
-    grid's block, ravelled, grid after grid: in 1d the conjugate as it
-    stands, in 2d its diagonal blocks (the blocks that pair one grid's first
+    One ``conjugate_nd`` call runs on the stack's query axes, ascending, so
+    every line of u is hulled once, whatever the number of grids, and each
+    pass can fill its hull pieces.  The result is each grid's block,
+    ravelled, grid after grid: in 1d the conjugate gathered back through the
+    stack's ``order`` (as it stands on one grid), in 2d its diagonal blocks,
+    each read through the permutation (the blocks that pair one grid's first
     axis with another's second are dropped).  Each query is resolved on its
     own, so a block is bit for bit the one-grid transform.  Off a grid's
     mask the values are finite; a ``DualPotential`` sets them to +inf.
@@ -288,8 +332,8 @@ def _dual_values(u: SampledFunction, stack: GridStack) -> np.ndarray:
     if len(stack.queries) != u.grid.ndim:
         raise ConfigurationError("the samples and the moment grid differ in dimension")
     vals = conjugate_nd(u.values, u.grid.axes(), stack.queries)
-    if u.grid.ndim == 1:  # the blocks already lie end to end
-        return vals
+    if u.grid.ndim == 1:  # the blocks lie end to end once the order is undone
+        return vals if stack.order[0] is None else vals[stack.order[0]]
     return np.concatenate([vals[block].ravel() for block in stack.blocks])
 
 

@@ -59,9 +59,11 @@ class DistanceReport:
     value: float
     route: str
     table: list = field(default_factory=list)  # (epsilon, V_eps, d_p_eps)
+    # None where nothing was tested: an exactly determined fit has no residual,
+    # and a closed formula (endpoint, oracle, energy) no sequence to settle
     fit_residual: float | None = None
     last_increment: float | None = None
-    converged: bool = True
+    converged: bool | None = None
     cross_route: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -169,7 +171,8 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
     the stacked values, each equal bit for bit to ``dp_endpoint`` on its
     pair; only the base pair becomes ``DualPotential``s, for
     ``dp_dual_oracle``.  ``converged`` needs two table increments at least:
-    on a two-entry schedule it is false.
+    on a two-entry schedule it is false, and the line through the two points
+    has no ``fit_residual`` (None).
     """
     values0, values1 = _dual_values(f0, family.stack), _dual_values(f1, family.stack)
     *d_eps, d_end = _dp_endpoints(family.stack, values0, values1, p)
@@ -208,11 +211,15 @@ def dp_limit(f0: SampledFunction, f1: SampledFunction, family: EpsilonFamily,
     )
 
 
-def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Least-squares line through (x, y) and its residual norm, None for two points.
+
+    Two points determine the line exactly, so ``lstsq`` returns no residual
+    and the fit tests nothing.
+    """
     a = np.stack([np.ones_like(x), x], axis=1)
     coeffs, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    residual = float(np.sqrt(res[0])) if res.size else 0.0
-    return coeffs, residual
+    return coeffs, float(np.sqrt(res[0])) if res.size else None
 
 
 def d1_energy(u0: DualPotential, u1: DualPotential, spatial_grid: SpatialGrid) -> float:

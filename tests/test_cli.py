@@ -102,6 +102,25 @@ def test_distance_json_has_12_significant_digits(config, capsys, route):
     assert all(float(f"{x:.12g}") == x for x in values)
 
 
+@pytest.mark.parametrize("route, p", [("endpoint", "2"), ("oracle", "2"), ("energy", "1")])
+def test_closed_formula_routes_claim_no_convergence(config, capsys, route, p):
+    # these routes compute no sequence and fit no line: nothing settled, nothing tested
+    rc, out = run(capsys, "distance", "--config", config({}), "--route", route, "--p", p)
+    payload = json.loads(out)
+    assert rc == 0
+    assert (payload["converged"], payload["fit_residual"], payload["table"]) == (None, None, [])
+    assert '"converged": null' in out
+
+
+def test_two_entry_limit_reports_no_fit_residual(config, capsys):
+    # the line passes through both table points, so its residual tests nothing
+    cfg = config({"epsilon_schedule": [0.2, 0.1]})
+    rc, out = run(capsys, "distance", "--config", cfg, "--route", "limit")
+    payload = json.loads(out)
+    assert rc == 0 and len(payload["table"]) == 2
+    assert (payload["fit_residual"], payload["converged"]) == (None, False)
+
+
 def test_geodesic_command(config, capsys):
     rc, out = run(capsys, "geodesic", "--config", config({"pair": "crossing_pair"}))
     assert rc == 0

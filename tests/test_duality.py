@@ -24,6 +24,7 @@ from ppgeo import (
 )
 from ppgeo.corpus import random_dual, random_dual_pairs
 from ppgeo.duality import (
+    _fill_pieces,
     clamped_hull,
     conjugate_oracle,
     convexify_moment_values,
@@ -340,6 +341,85 @@ def test_piecewise_affine_primal_has_few_vertices():
         q = grid.axes()[0]
         _assert_matches_oracle(conjugate_oracle(x[h], v[h], q), x, v, q)
         _assert_matches_oracle(conjugate_1d(x, v, q), x, v, q)
+
+
+def _per_query_lookup(xs, vs, slopes, q):
+    """The reference for ``_fill_pieces``: one binary search per query among the hull slopes."""
+    k = np.searchsorted(slopes, q, side="left")
+    return q * xs[k] - vs[k]
+
+
+def _near_affine(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A line plus bumps of 1e-14 on uneven nodes: about 1 hull in 30 has equal slopes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    x = np.cumsum(rng.choice([0.1, 0.25, 1 / 3, 1.0], n))
+    return x, rng.uniform(-2, 2) + rng.uniform(-3, 3) * x + rng.uniform(0, 1e-14, n)
+
+
+def _assert_fill_is_the_lookup(x, v, q):
+    """The fill equals the per-query lookup bit for bit and the O(N*M) oracle to 1e-12."""
+    xs, vs, slopes = lower_hull(x, v)
+    # ascending slopes: every piece count is >= 0 on ascending queries
+    assert (slopes[1:] >= slopes[:-1]).all()
+    ends = np.concatenate([[0], q.searchsorted(slopes, side="right"), [len(q)]])
+    assert (np.diff(ends) >= 0).all()
+    fill = _fill_pieces(xs, vs, slopes, q)
+    assert fill.shape == q.shape
+    assert fill.tobytes() == _per_query_lookup(xs, vs, slopes, q).tobytes()
+    _assert_matches_oracle(fill, x, v, q)
+    return slopes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(_HULL_POINTS.map(lambda p: (np.cumsum([s for s, _ in p]),
+                                               np.array([w for _, w in p]))),
+                   st.integers(0, 2**32 - 1).map(_near_affine)),
+    picks=st.lists(st.integers(0, 10**6), max_size=20),
+    others=st.lists(st.floats(-1e3, 1e3), max_size=20),
+    beyond=st.integers(0, 3),
+)
+def test_piece_fill_is_the_per_query_lookup(data, picks, others, beyond):
+    x, v = data
+    slopes = lower_hull(x, v)[2]
+    # queries exactly at hull slopes, each picked once or more (duplicates), arbitrary
+    # queries, and queries below and beyond every slope; none at all is a case too
+    at = [slopes[i % len(slopes)] for i in picks] if len(slopes) else []
+    lo, hi = (slopes.min(), slopes.max()) if len(slopes) else (0.0, 0.0)
+    q = np.sort(np.array(at + others + [lo - 1.0, hi + 1.0, hi + 2.0][:beyond], dtype=float))
+    _assert_fill_is_the_lookup(x, v, q)
+
+
+def test_piece_fill_on_near_affine_hulls_with_equal_slopes():
+    tied = 0
+    for seed in range(300):
+        x, v = _near_affine(seed)
+        q = np.sort(np.concatenate([lower_hull(x, v)[2], [-4.0, 0.0, 4.0]]))
+        for queries in (q, q[:0], q[:1]):  # every query, none, a single one
+            slopes = _assert_fill_is_the_lookup(x, v, queries)
+        tied += bool((np.diff(slopes) == 0).any())
+    # equal consecutive hull slopes do occur here, each giving an empty piece
+    assert tied >= 3
+
+
+def test_conjugate_1d_fills_only_many_ascending_queries_per_vertex(monkeypatch):
+    x = SPATIAL.axes()[0]
+    kinked, smooth = np.abs(x - 0.5), 0.5 * x**2  # 3 hull vertices, and 513
+    q = np.linspace(-1.0, 4.0, 1024)
+    searched, real = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **kw: searched.append(len(v)) or real(a, v, **kw))
+    filled = conjugate_1d(x, kinked, q)
+    assert searched == []  # 1024 ascending queries on 3 vertices: filled
+    # unsorted queries, too few queries, too few queries per vertex: one search per query
+    shuffled = np.random.default_rng(0).permutation(q)
+    searched_back = conjugate_1d(x, kinked, shuffled)[np.argsort(shuffled)]
+    conjugate_1d(x, kinked, q[:256])
+    conjugate_1d(x, smooth, q)
+    assert searched == [1024, 256, 1024]
+    assert filled.tobytes() == searched_back.tobytes()
+    _assert_matches_oracle(filled, x, kinked, q)
 
 
 def _blocked_eval_primal(u, pts):

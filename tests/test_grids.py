@@ -5,12 +5,17 @@ import pytest
 
 from ppgeo import (
     Body,
+    ClassBody,
     ConfigurationError,
     MomentGrid,
     SampledFunction,
     SpatialGrid,
+    conjugate_nd,
+    default_class_body,
+    epsilon_family,
     moment_grid,
 )
+from ppgeo.duality import _dual_values
 
 
 def test_spatial_grid_axes_include_endpoints():
@@ -101,3 +106,34 @@ def test_sampled_function_is_finite_on_a_spatial_grid(spatial, value):
     vals[3] = value
     with pytest.raises(ConfigurationError):
         SampledFunction(grid, vals)
+
+
+_SQUARE_Q = default_class_body(2).q_body
+
+
+@pytest.mark.parametrize("klass", [
+    default_class_body(1), default_class_body(2),
+    ClassBody(Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)]), _SQUARE_Q),
+], ids=["interval", "square", "triangle"])
+def test_a_stack_stores_its_queries_ascending_and_reads_each_block_back(klass):
+    family = epsilon_family(klass, 64)  # 8 grids: 512 queries per axis, enough to fill pieces
+    grids, stack = family.grids + (family.base_grid,), family.stack
+    end_to_end = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
+    for queries, order, axis in zip(stack.queries, stack.order, end_to_end, strict=True):
+        assert (queries[1:] >= queries[:-1]).all()
+        assert np.array_equal(np.sort(order), np.arange(len(axis)))
+        assert np.array_equal(queries[order], axis)
+    for g in grids:  # one grid's axes already ascend: stored as they stand, no permutation
+        assert g.stack.order == (None,) * g.ndim
+        assert all(q is a for q, a in zip(g.stack.queries, g.axes(), strict=True))
+    # the transform on the ascending queries, read back through the permutation, is
+    # bit for bit the blocks of the transform on the axes end to end
+    sp = SpatialGrid((-3.0,) * klass.ndim, (4.0,) * klass.ndim, (24,) * klass.ndim)
+    nodes = sp.nodes()
+    f = SampledFunction(sp, (0.5 * (nodes**2).sum(axis=1) + 0.2 * np.cos(3 * nodes[:, 0]))
+                        .reshape(sp.shape))
+    full = conjugate_nd(f.values, sp.axes(), end_to_end)
+    ends = np.cumsum([g.shape for g in grids], axis=0)
+    blocks = [full[tuple(slice(e - n, e) for e, n in zip(end, g.shape))].ravel()
+              for g, end in zip(grids, ends)]
+    assert _dual_values(f, stack).tobytes() == np.concatenate(blocks).tobytes()

@@ -281,6 +281,21 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     assert (len(built), len(cut), len(measured)) == (2, 0, 1)
 
 
+def test_limit_searches_the_hull_slopes_among_the_stacked_queries(monkeypatch):
+    # the obstacles of the limit_1d benchmark: primals of a piecewise affine dual
+    # pair, whose hulls have a few dozen vertices
+    (u, v), = random_dual_pairs(20240, 1, KLASS.p_body, GRID)
+    f0, f1 = (SampledFunction(SPATIAL, to_primal(w, SPATIAL).values) for w in (u, v))
+    searched, real = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, keys, **kw: searched.append(np.size(keys)) or real(a, keys, **kw))
+    dp_limit(f0, f1, FAMILY, 2.0)
+    # the family's 8192 stacked queries ascend, so each of the 2 forward transforms
+    # fills its hull pieces: no binary search per query
+    assert len(FAMILY.stack.queries[0]) == 8192
+    assert 8192 not in searched
+
+
 def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
     lab = Experiment(dict(DEFAULT_CONFIG)).lab()
     hulls = count_calls(monkeypatch, ppgeo.duality, "lower_hull_indices")
@@ -380,7 +395,7 @@ def test_limit_on_a_two_entry_schedule_does_not_claim_convergence():
     f = obstacle_from_form("quadratic", SPATIAL)
     g = obstacle_from_form("soft_ramp", SPATIAL)
     rep = dp_limit(f, g, epsilon_family(KLASS, 64, (0.2, 0.1)), 2.0)
-    assert (len(rep.table), rep.fit_residual, rep.converged) == (2, 0.0, False)
+    assert (len(rep.table), rep.fit_residual, rep.converged) == (2, None, False)
     assert dp_limit(f, g, epsilon_family(KLASS, 64, (0.2, 0.1, 0.05)), 2.0).table[:2] == rep.table
 
 
