@@ -44,6 +44,7 @@ from .grids import (
     ConfigurationError,
     MomentGrid,
     SpatialGrid,
+    grid_stack,
     moment_grid,
 )
 from .harness import SUITES, Lab, TheoremReport, run_suites
@@ -99,6 +100,7 @@ __all__ = [
     "ConfigurationError",
     "MomentGrid",
     "SpatialGrid",
+    "grid_stack",
     "moment_grid",
     "SUITES",
     "Lab",

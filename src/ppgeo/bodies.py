@@ -4,8 +4,9 @@ A cohomology class is modeled by a full-dimensional convex body P (interval
 in 1d, CCW polygon in 2d); the reference perturbation shape is a second
 body Q with 0 strictly inside.  The approximating classes are the Minkowski
 sums P + eps * Q.  ``epsilon_family`` builds their moment grids once, with
-the base grid of P and the stacked layout (``grids.GridStack``) that the
-limit route prices its whole eps-table from.
+the base grid of P, into the one stacked layout (``grids.GridStack``) that
+the limit route prices its whole eps-table from; the family reads its
+grids, base grid and volumes off that stack.
 """
 from __future__ import annotations
 
@@ -157,22 +158,31 @@ def default_class_body(ndim: int) -> ClassBody:
 
 @dataclass(frozen=True)
 class EpsilonFamily:
-    """The family P_eps = P + eps*Q as per-eps moment grids, each on its body, and volumes.
+    """The family P_eps = P + eps*Q as per-eps moment grids, compared by base, schedule, cells.
 
-    It also holds ``base_grid``, the moment grid of the limiting body P at the
-    same cells, so every route to the limit reads one base grid and builds none,
-    and ``stack``, the ``GridStack`` of ``grids + (base_grid,)``: one forward
-    transform onto all of them and one reduction of the endpoint formula read
-    it, and nothing about the grids is rebuilt per call.
+    ``stack`` is the ``GridStack`` of the per-eps grids, each on its body,
+    and, last, the base grid of the limiting body P at the same cells: one
+    forward transform onto all of them and one reduction of the endpoint
+    formula read it, and nothing about the grids is rebuilt per call.
+    ``grids``, ``base_grid`` and ``volumes`` are read off it.
     """
 
     base: ClassBody
     schedule: tuple
     cells: tuple
-    grids: tuple = field(compare=False)
-    volumes: tuple = field(compare=False)
-    base_grid: MomentGrid = field(compare=False)
     stack: GridStack = field(compare=False)
+
+    @property
+    def grids(self) -> tuple:
+        return self.stack.grids[:-1]
+
+    @property
+    def base_grid(self) -> MomentGrid:
+        return self.stack.grids[-1]
+
+    @property
+    def volumes(self) -> tuple:
+        return self.stack.volumes[:-1]
 
 
 def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
@@ -180,7 +190,7 @@ def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
 
     The schedule must hold two or more strictly decreasing positive numbers.
     Every grid has the cells of the base grid of P, and the family's stack
-    and volumes are built here, once.
+    is built here, once.
     """
     schedule = DEFAULT_SCHEDULE if schedule is None else tuple(float(e) for e in schedule)
     # two entries at least: the limit route fits a line through the schedule
@@ -190,7 +200,5 @@ def epsilon_family(base: ClassBody, cells, schedule=None) -> EpsilonFamily:
         raise ConfigurationError(
             "epsilon schedule must be two or more strictly decreasing positive numbers")
     base_grid = moment_grid(base.p_body, cells)
-    grids = tuple(moment_grid(base.perturbed(e), base_grid.cells) for e in schedule)
-    stack = grid_stack(grids + (base_grid,))
-    return EpsilonFamily(base, schedule, base_grid.cells, grids, stack.volumes[:-1], base_grid,
-                         stack)
+    grids = [moment_grid(base.perturbed(e), base_grid.cells) for e in schedule]
+    return EpsilonFamily(base, schedule, base_grid.cells, grid_stack(grids + [base_grid]))

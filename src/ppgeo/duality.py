@@ -4,10 +4,11 @@ A ``SampledFunction`` is finite on a spatial grid (a potential, an obstacle,
 an envelope); a ``DualPotential`` is +inf off its body's moment cells, and
 its body is its moment grid's.  ``_dual_values`` is the one forward
 transform: one ``conjugate_nd`` call gives the dual of a sampled function
-on any number of moment grids, stacked grid after grid as their
-``GridStack`` lays them out (a family and every moment grid hold theirs).
-``to_duals`` cuts that into duals, one per grid (``to_dual`` is its
-one-grid case), and the distance routes reduce it as it stands.
+on any number of moment grids, read grid after grid through their
+``GridStack``'s one gather (a family and every moment grid hold theirs).
+``to_duals`` takes a stack and cuts that into duals, one per grid
+(``to_dual`` is its one-grid case, on the grid's own stack), and the
+distance routes reduce it as it stands.
 ``to_primal`` is the one transform that samples a dual back on a spatial
 grid.
 
@@ -41,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Body
-from .grids import (ConfigurationError, GridStack, MomentGrid, SpatialGrid, check_body,
-                    grid_stack, tensor_nodes)
+from .grids import ConfigurationError, GridStack, MomentGrid, SpatialGrid, check_body, tensor_nodes
 
 
 def lower_hull_indices(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -322,32 +322,31 @@ def _dual_values(u: SampledFunction, stack: GridStack) -> np.ndarray:
     One ``conjugate_nd`` call runs on the stack's query axes, ascending, so
     every line of u is hulled once, whatever the number of grids, and each
     pass can fill its hull pieces.  The result is each grid's block,
-    ravelled, grid after grid: in 1d the conjugate gathered back through the
-    stack's ``order`` (as it stands on one grid), in 2d its diagonal blocks,
-    each read through the permutation (the blocks that pair one grid's first
-    axis with another's second are dropped).  Each query is resolved on its
-    own, so a block is bit for bit the one-grid transform.  Off a grid's
-    mask the values are finite; a ``DualPotential`` sets them to +inf.
+    ravelled, grid after grid: the ravelled conjugate read through the
+    stack's ``take`` (as it stands on one grid), in every dimension (in 2d
+    the blocks that pair one grid's first axis with another's second are
+    never read).  Each query is resolved on its own, so a block is bit for
+    bit the one-grid transform.  Off a grid's mask the values are finite; a
+    ``DualPotential`` sets them to +inf.
     """
     if len(stack.queries) != u.grid.ndim:
         raise ConfigurationError("the samples and the moment grid differ in dimension")
-    vals = conjugate_nd(u.values, u.grid.axes(), stack.queries)
-    if u.grid.ndim == 1:  # the blocks lie end to end once the order is undone
-        return vals if stack.order[0] is None else vals[stack.order[0]]
-    return np.concatenate([vals[block].ravel() for block in stack.blocks])
+    vals = conjugate_nd(u.values, u.grid.axes(), stack.queries).ravel()
+    return vals if stack.take is None else vals[stack.take]
 
 
-def to_duals(u: SampledFunction, grids) -> list[DualPotential]:
-    """The dual of u on each moment grid, on its body: ``_dual_values`` cut into grids."""
-    stack = grids[0].stack if len(grids) == 1 else grid_stack(grids)
-    blocks = np.split(_dual_values(u, stack), np.cumsum([g.mask.size for g in grids])[:-1])
+def to_duals(u: SampledFunction, stack: GridStack) -> list[DualPotential]:
+    """The dual of u on each grid of ``stack``, on its body: ``_dual_values`` cut into grids."""
+    if not isinstance(stack, GridStack):
+        raise ConfigurationError("to_duals takes a GridStack; grid_stack(grids) builds one")
+    blocks = np.split(_dual_values(u, stack), np.cumsum([g.mask.size for g in stack.grids])[:-1])
     return [DualPotential(g.body, g, b.reshape(g.shape), provenance=u.provenance)
-            for g, b in zip(grids, blocks)]
+            for g, b in zip(stack.grids, blocks)]
 
 
 def to_dual(u: SampledFunction, target: MomentGrid) -> DualPotential:
     """u*(p) = max over spatial nodes of (<p,x> - u(x)), on the body of ``target``."""
-    return to_duals(u, [target])[0]
+    return to_duals(u, target.stack)[0]
 
 
 def to_primal(g: DualPotential, target: SpatialGrid) -> SampledFunction:
@@ -381,22 +380,21 @@ def clamped_hull(x: np.ndarray, hull: tuple[np.ndarray, np.ndarray, np.ndarray],
 def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex hull of the finite values on a moment or a spatial grid.
 
-    Exact in every dimension, +inf wherever the values are +inf.  In 2d a
+    Exact in every dimension, +inf wherever the values are +inf: the hull is
+    read at the finite nodes only, so a hole inside them stays +inf.  In 2d a
     hull vertex keeps its value; every other finite node takes the largest
     lower-facet plane (``lower_facets``), capped by its value as a rounding
     guard.
     """
-    axes = grid.axes()
-    if grid.ndim == 1:
-        return clamped_hull(axes[0], lower_hull(*_finite_samples(axes[0], values)))
-    out, nodes = values.flatten(), tensor_nodes(axes)
+    out, nodes = values.flatten(), tensor_nodes(grid.axes())
     finite = np.flatnonzero(np.isfinite(out))
     line = nodes[finite] - nodes[finite[0]]
-    if np.linalg.matrix_rank(line) < 2:  # a needle body's cells: the 1d hull along their line
-        t = line @ line[-1]
-        out[finite] = clamped_hull(t, lower_hull(t, out[finite]))
-    else:
+    if grid.ndim == 2 and np.linalg.matrix_rank(line) == 2:
         slopes, offsets, vertices = lower_facets(nodes[finite], out[finite])
         rest = np.delete(finite, vertices)
         out[rest] = np.minimum(max_affine(nodes[rest], slopes, offsets), out[rest])
+        return out.reshape(values.shape)
+    # an interval's cells, or a needle body's: the 1d hull along their line
+    t = nodes[finite, 0] if grid.ndim == 1 else line @ line[-1]
+    out[finite] = clamped_hull(t, lower_hull(t, out[finite]))
     return out.reshape(values.shape)

@@ -3,13 +3,14 @@
 Envelopes are computed through the dual.  The envelope's dual is f*
 restricted to the body's cells, which is all the distance routes read; they
 take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
-set for a list of moment grids, each on the body it keeps, exactly in every
-dimension from the obstacle's lower hull, found once for all the grids,
-beside one ``to_duals`` call: in 1d the hull clamped to the body's slopes,
-in 2d the planes of the lower facets whose slopes lie in the body, maxed
-with that 1d rule along each body edge.  Obstacle and envelope primal are both
-``SampledFunction``s on the obstacle's spatial grid.  The envelope measure
-is ``ma_density`` of that primal (in 1d the clamped hull's atoms).
+set for the moment grids of a ``GridStack``, each on the body it keeps,
+exactly in every dimension from the obstacle's lower hull, found once for
+all the grids, beside one ``to_duals`` call on the stack: in 1d the hull
+clamped to the body's slopes, in 2d the planes of the lower facets whose
+slopes lie in the body, maxed with that 1d rule along each body edge.
+Obstacle and envelope primal are both ``SampledFunction``s on the
+obstacle's spatial grid.  The envelope measure is ``ma_density`` of that
+primal (in 1d the clamped hull's atoms).
 ``iterative_envelope``, one convexification of min(start, f), is the oracle.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .duality import (
     second_differences,
     to_duals,
 )
-from .grids import ConfigurationError, MomentGrid, check_body
+from .grids import GridStack, MomentGrid, check_body, common_grid
 from .measures import ma_density
 
 
@@ -63,9 +64,10 @@ class EnvelopeRecord:
     contact_tol: float
 
 
-def envelopes(f: SampledFunction, grids, hessian_bound: float | None) -> list[EnvelopeRecord]:
-    """The envelope of f over each grid's body, from one ``to_duals`` call and one hull of f."""
-    duals = to_duals(f, grids)
+def envelopes(f: SampledFunction, stack: GridStack,
+              hessian_bound: float | None) -> list[EnvelopeRecord]:
+    """The envelope of f over each stacked grid's body: one ``to_duals`` call, one hull of f."""
+    duals = to_duals(f, stack)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
     # every body reads the obstacle's lower hull (in 2d its lower facets), found once
@@ -88,7 +90,7 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     Dual route: P(f) = sup_{p in body} (<p,x> - f*(p)); ``body`` must be the grid's body.
     """
     check_body(body, grid)
-    return envelopes(f, [grid], hessian_bound)[0]
+    return envelopes(f, grid.stack, hessian_bound)[0]
 
 
 def _primal_from_hull(f: SampledFunction, body: Body, hull) -> np.ndarray:
@@ -129,8 +131,7 @@ def iterative_envelope(f: SampledFunction, start: SampledFunction) -> SampledFun
 
 def rooftop(u: DualPotential, *others: DualPotential) -> DualPotential:
     """Largest potential below all of the inputs: dual values are the pointwise max."""
-    if any(v.grid != u.grid for v in others):
-        raise ConfigurationError("rooftop needs a common moment grid")
+    common_grid("rooftop", u, *others)
     values = np.maximum.reduce([u.values] + [v.values for v in others])
     return DualPotential(u.body, u.grid, values, provenance="rooftop")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DualPotential, gradient, second_difference_slack, to_primal
-from .grids import ConfigurationError, SpatialGrid
+from .grids import SpatialGrid, common_grid
 
 # the times at which curve_checks samples the primal curve
 T_SAMPLES = np.linspace(0.0, 1.0, 17)
@@ -26,8 +26,7 @@ class GeodesicCurve:
     u1: DualPotential
 
     def __post_init__(self):
-        if self.u0.grid != self.u1.grid:
-            raise ConfigurationError("geodesic endpoints need a common moment grid")
+        common_grid("a geodesic", self.u0, self.u1)
 
     @property
     def grid(self):

@@ -16,12 +16,13 @@ same arrays, so every transform, quadrature and evaluation on a grid reads
 its coordinates without recomputing them.
 
 Moment grids that one forward transform serves together form a
-``GridStack`` (``grid_stack``): their query axes joined and sorted, the
-permutation back to grid after grid, each grid's block of the transform,
-and the positive-weight cells, weights, block ends and body volumes that
-the endpoint formula reads.  Every moment grid holds its own one-grid stack
-and an ``EpsilonFamily`` holds the stack of its grids, so no distance route
-builds a layout per call.
+``GridStack`` (``grid_stack``): the grids, their query axes joined and
+sorted, one flat gather (``take``) that reads the transform as each grid's
+block, grid after grid, and the positive-weight cells, weights, block ends
+and body volumes that the endpoint formula reads.  Every moment grid holds
+its own one-grid stack and an ``EpsilonFamily`` holds the stack of its
+grids; every multi-grid operation takes a stack, and none builds one.
+Routes that pair duals check that they share a grid with ``common_grid``.
 """
 from __future__ import annotations
 
@@ -158,22 +159,19 @@ class GridStack:
 
     Per axis, ``queries`` holds every grid's coordinates in ascending order,
     so that each 1d pass of the transform can fill its hull pieces
-    (``duality.conjugate_1d``), and ``order`` the permutation that takes the
-    transform on them back to grid after grid (``queries[a][order[a]]`` is
-    axis a's coordinates end to end), or None where they already lie so, as
-    on every one-grid stack.  ``blocks`` holds each grid's block of the
-    transform on ``queries``: slices on a stack with no permutation, index
-    arrays (``np.ix_``) through ``order`` otherwise; in 2d it is the
-    diagonal block, which pairs the grid's own two axes.  The
-    positive-weight cells of the stacked, ravelled blocks, grid after grid,
-    are ``pos`` (None when every cell is positive, as on an interval, whose
-    box is the interval), with their ``weights``, the end of each grid's
-    cells among them (``ends``) and each body's volume (``volumes``).
+    (``duality.conjugate_1d``).  ``take`` is the one gather that reads the
+    ravelled transform on them as each grid's block, ravelled, grid after
+    grid, in any dimension (in 2d a grid's block pairs its own two axes); it
+    is None on a one-grid stack, whose transform is its block.  The
+    positive-weight cells of the stacked blocks are ``pos`` (None when every
+    cell is positive, as on an interval, whose box is the interval), with
+    their ``weights``, the end of each grid's cells among them (``ends``)
+    and each body's volume (``volumes``).
     """
 
+    grids: tuple
     queries: tuple
-    order: tuple
-    blocks: tuple
+    take: np.ndarray | None
     pos: np.ndarray | None
     weights: np.ndarray
     ends: tuple
@@ -183,38 +181,36 @@ class GridStack:
 def grid_stack(grids) -> GridStack:
     """The layout of ``grids``, stacked grid after grid; grids and families build theirs once.
 
-    Each axis's stacked queries are sorted here, once, with the permutation
-    back; a transform onto the stack then reads every grid's block through it.
+    Each axis's stacked coordinates are sorted here, once; an axis that
+    already ascends (a grid's own) is stored as it stands, not copied.
     """
     if not grids:
         raise ConfigurationError("need at least one moment grid")
     if len({g.ndim for g in grids}) > 1:
         raise ConfigurationError("the moment grids differ in dimension")
-    stacked = (_end_to_end(axes) for axes in zip(*(g.axes() for g in grids)))
-    queries, order = zip(*map(_ascending, stacked))
-    ends = np.cumsum([g.shape for g in grids], axis=0).tolist()
-    blocks = tuple(tuple(slice(e - n, e) for e, n in zip(end, g.shape))
-                   for g, end in zip(grids, ends))
-    if any(o is not None for o in order):  # read each block through the permutation
-        back = [np.arange(len(q)) if o is None else o for q, o in zip(queries, order)]
-        blocks = tuple(np.ix_(*(b[s] for b, s in zip(back, block))) for block in blocks)
+    stacked = [_end_to_end(axes) for axes in zip(*(g.axes() for g in grids))]
+    sorts = [None if (a[1:] >= a[:-1]).all() else np.argsort(a, kind="stable") for a in stacked]
+    queries = tuple(a if s is None else a[s] for a, s in zip(stacked, sorts))
+    take = None
+    if len(grids) > 1:  # each grid's block of the ravelled transform, at its ranks per axis
+        ranks = [np.arange(len(a)) if s is None else np.argsort(s) for a, s in zip(stacked, sorts)]
+        cuts = np.cumsum([g.shape for g in grids[:-1]], axis=0).T
+        take = np.concatenate([np.ravel_multi_index(np.ix_(*block), [len(q) for q in queries])
+                               .ravel() for block in zip(*map(np.split, ranks, cuts))])
     mask = _end_to_end([g.mask.ravel() for g in grids])
     weights = _end_to_end([g.weights.ravel() for g in grids])
     pos = None if mask.all() else mask
     cells = itertools.accumulate(int(np.count_nonzero(g.mask)) for g in grids)
-    return GridStack(queries, order, blocks, pos, weights if pos is None else weights[pos],
+    return GridStack(tuple(grids), queries, take, pos, weights if pos is None else weights[pos],
                      tuple(cells), tuple(g.body.volume() for g in grids))
 
 
-def _ascending(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The stacked coordinates of one axis in ascending order, with the permutation back.
-
-    Coordinates that already ascend are returned as they stand, with None.
-    """
-    if (axis[1:] >= axis[:-1]).all():
-        return axis, None
-    ascending = np.argsort(axis, kind="stable")
-    return axis[ascending], np.argsort(ascending)
+def common_grid(route: str, *duals) -> MomentGrid:
+    """The moment grid that all ``duals`` share, or an error naming ``route``."""
+    grid = duals[0].grid
+    if any(d.grid != grid for d in duals[1:]):
+        raise ConfigurationError(f"{route} needs a common moment grid")
+    return grid
 
 
 def _end_to_end(arrays: list) -> np.ndarray:

@@ -270,10 +270,9 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
     obstacles = EPSILON_OBSTACLES
     bounds = [CLOSED_FORMS[o].hessian_bound for o in obstacles]
     fs = [obstacle_from_form(o, lab.spatial) for o in obstacles]
-    # the limit body, then the opening class: one transform and one hull per obstacle
-    grids = (lab.family.base_grid,) + lab.family.grids
-    envs = envelopes(fs[0], grids, bounds[0])
-    others = to_duals(fs[1], grids)
+    # the opening class, then the limit body: one transform and one hull per obstacle
+    envs = envelopes(fs[0], lab.family.stack, bounds[0])
+    others = to_duals(fs[1], lab.family.stack)
 
     def quantities(env, other):
         """I_p, the envelope density and the contact-masked velocity integrand."""
@@ -284,12 +283,12 @@ def check_epsilon_lemmas(lab: Lab, p: float) -> TheoremReport:
         ) / VELOCITY_T
         return i_p(env.dual, other, p), rho, env.contact_mask * vel**p * rho
 
-    ip_limit, _, integrand_limit = quantities(envs[0], others[0])
+    ip_limit, _, integrand_limit = quantities(envs[-1], others[-1])
     cell = float(np.prod(lab.spatial.spacing))
     ip_table, monotone_fracs, sup_bounds, vel_l1 = [], [], [], []
     rho_prev = None
     h = max(lab.spatial.spacing)
-    for env, other in zip(envs[1:], others[1:]):
+    for env, other in zip(envs[:-1], others[:-1]):
         ip, rho, integrand = quantities(env, other)
         ip_table.append(ip)
         if rho_prev is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import DualPotential, SampledFunction, gradient, second_differences, to_primal
-from .grids import ConfigurationError, SpatialGrid, check_p
+from .grids import ConfigurationError, SpatialGrid, check_p, common_grid
 
 # ma_mixed_pair: negative mixed mass allowed, as a fraction of the body volume
 MIXED_NEGATIVE_TOL = 5e-3
@@ -114,8 +114,7 @@ def ma_mixed_pair(u: DualPotential, v: DualPotential,
     """
     if u.grid.ndim != 2:
         raise ConfigurationError("mixed measures are defined for n=2 only")
-    if u.grid != v.grid:
-        raise ConfigurationError("mixed pair needs a common moment grid")
+    common_grid("ma_mixed_pair", u, v)
     pu = to_primal(u, spatial_grid)
     pv = to_primal(v, spatial_grid)
     mid = SampledFunction(spatial_grid, 0.5 * (pu.values + pv.values))
@@ -169,8 +168,7 @@ def energy(u: DualPotential, spatial_grid: SpatialGrid) -> float:
 
 def i_p(u: DualPotential, v: DualPotential, p: float) -> float:
     """int |u - v|^p against MA(u) + MA(v), via the atomic pushforwards."""
-    if u.grid != v.grid:
-        raise ConfigurationError("i_p needs a common moment grid")
+    common_grid("i_p", u, v)
     check_p(p)
     total = 0.0
     for m in (ma_atomic(u), ma_atomic(v)):

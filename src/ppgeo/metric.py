@@ -33,7 +33,7 @@ import numpy as np
 from .bodies import EpsilonFamily
 from .duality import DualPotential, SampledFunction, _dual_values, convexify_moment_values
 from .envelopes import rooftop
-from .grids import ConfigurationError, GridStack, MomentGrid, SpatialGrid, check_p
+from .grids import GridStack, MomentGrid, SpatialGrid, check_p, common_grid
 from .measures import energy, i_p, require_minimal_singularities
 
 FORMAT_VERSION = 1
@@ -111,11 +111,10 @@ def dp_endpoint(u0: DualPotential, u1: DualPotential, p: float) -> float:
 
 def _finite_pair_grid(u0: DualPotential, u1: DualPotential, route: str) -> MomentGrid:
     """The common moment grid of two duals that are finite on its body, or an error."""
-    if u0.grid != u1.grid:
-        raise ConfigurationError(f"{route} needs a common moment grid")
+    grid = common_grid(route, u0, u1)
     require_minimal_singularities(u0)
     require_minimal_singularities(u1)
-    return u0.grid
+    return grid
 
 
 def _dp_endpoints(stack: GridStack, values0: np.ndarray, values1: np.ndarray,

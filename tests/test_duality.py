@@ -16,6 +16,7 @@ from ppgeo import (
     default_class_body,
     dual_from_form,
     epsilon_family,
+    grid_stack,
     moment_grid,
     to_dual,
     to_duals,
@@ -170,13 +171,22 @@ QUADRATIC = SampledFunction(SPATIAL, 0.5 * SPATIAL.axes()[0] ** 2, "quadratic")
 
 def test_to_duals_needs_at_least_one_target():
     with pytest.raises(ConfigurationError, match="at least one"):
-        to_duals(QUADRATIC, [])
+        to_duals(QUADRATIC, grid_stack([]))
 
 
 def test_to_duals_needs_every_grid_in_the_samples_dimension():
     square = default_class_body(2).p_body
     with pytest.raises(ConfigurationError, match="differ in dimension"):
-        to_duals(QUADRATIC, [GRID, moment_grid(square, 16)])
+        to_duals(QUADRATIC, grid_stack([GRID, moment_grid(square, 16)]))
+    with pytest.raises(ConfigurationError, match="differ in dimension"):
+        to_duals(QUADRATIC, moment_grid(square, 16).stack)
+
+
+def test_to_duals_takes_a_stack_and_builds_none():
+    with pytest.raises(ConfigurationError, match=r"grid_stack\(grids\)"):
+        to_duals(QUADRATIC, [GRID])
+    stack = grid_stack([GRID, moment_grid(Body([[-0.5], [1.5]]), 64)])
+    assert [d.grid for d in to_duals(QUADRATIC, stack)] == list(stack.grids)
 
 
 def test_to_dual_reads_the_body_of_its_grid():
@@ -187,6 +197,21 @@ def test_to_dual_reads_the_body_of_its_grid():
     sp = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
     f = SampledFunction(sp, 0.5 * (sp.nodes() ** 2).sum(axis=1).reshape(sp.shape))
     assert to_dual(f, moment_grid(square, 16)).body == square
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_convexification_keeps_a_hole_inside_the_finite_values(ndim):
+    # +inf wherever the values are +inf, in every dimension: the hull of the
+    # finite values is read at the finite nodes only
+    grid = moment_grid(default_class_body(ndim).p_body, 32)
+    nodes = grid.nodes()
+    vals = (nodes**2).sum(axis=1).reshape(grid.shape)
+    hole = (slice(10, 14),) * ndim
+    vals[hole] = np.inf
+    hull = convexify_moment_values(grid, vals)
+    assert np.isposinf(hull[hole]).all()
+    assert np.isfinite(hull[np.isfinite(vals)]).all()
+    assert (hull[np.isfinite(vals)] <= vals[np.isfinite(vals)]).all()
 
 
 def test_convexify_moment_values_idempotent_on_convex():

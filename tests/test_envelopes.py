@@ -271,7 +271,7 @@ def test_measure_identity_is_exact_for_admissible_obstacles(name, eps):
 def pushforward_density(rec):
     """Oracle: the body pushed forward through a 16x-refined f*, cloud-in-cell deposit."""
     fine = moment_grid(rec.dual.body, tuple(16 * c for c in rec.dual.grid.cells))
-    atoms = ma_atomic(to_duals(rec.obstacle, [fine])[0])
+    atoms = ma_atomic(to_duals(rec.obstacle, fine.stack)[0])
     points, masses, grid = atoms.locations, atoms.masses, rec.obstacle.grid
     dens = np.zeros(grid.shape)
     pos = [(points[:, i] - grid.lo[i]) / grid.spacing[i] for i in range(grid.ndim)]
@@ -342,7 +342,7 @@ def test_1d_envelope_primal_is_the_exact_double_conjugate(name, eps):
 
 
 def _envelope_duals(f, body, grid):
-    return to_duals(f, [grid])
+    return to_duals(f, grid.stack)
 
 
 @pytest.mark.parametrize("build", [envelope, _envelope_duals], ids=["envelope", "to_duals"])

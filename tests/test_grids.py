@@ -118,16 +118,16 @@ _SQUARE_Q = default_class_body(2).q_body
 def test_a_stack_stores_its_queries_ascending_and_reads_each_block_back(klass):
     family = epsilon_family(klass, 64)  # 8 grids: 512 queries per axis, enough to fill pieces
     grids, stack = family.grids + (family.base_grid,), family.stack
-    end_to_end = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
-    for queries, order, axis in zip(stack.queries, stack.order, end_to_end, strict=True):
-        assert (queries[1:] >= queries[:-1]).all()
-        assert np.array_equal(np.sort(order), np.arange(len(axis)))
-        assert np.array_equal(queries[order], axis)
-    for g in grids:  # one grid's axes already ascend: stored as they stand, no permutation
-        assert g.stack.order == (None,) * g.ndim
+    assert stack.grids == grids
+    for g in grids:  # a grid's transform is its block, and its axes ascend: stored as they stand
+        assert g.stack.take is None and g.stack.grids == (g,)
         assert all(q is a for q, a in zip(g.stack.queries, g.axes(), strict=True))
-    # the transform on the ascending queries, read back through the permutation, is
-    # bit for bit the blocks of the transform on the axes end to end
+    end_to_end = [np.concatenate(axes) for axes in zip(*(g.axes() for g in grids))]
+    for queries, axis in zip(stack.queries, end_to_end, strict=True):
+        assert (queries[1:] >= queries[:-1]).all()
+        assert np.array_equal(queries, np.sort(axis))
+    # the transform on the ascending queries, gathered through take, is bit for bit
+    # the blocks of the transform on the axes end to end, grid after grid
     sp = SpatialGrid((-3.0,) * klass.ndim, (4.0,) * klass.ndim, (24,) * klass.ndim)
     nodes = sp.nodes()
     f = SampledFunction(sp, (0.5 * (nodes**2).sum(axis=1) + 0.2 * np.cos(3 * nodes[:, 0]))
@@ -136,4 +136,6 @@ def test_a_stack_stores_its_queries_ascending_and_reads_each_block_back(klass):
     ends = np.cumsum([g.shape for g in grids], axis=0)
     blocks = [full[tuple(slice(e - n, e) for e, n in zip(end, g.shape))].ravel()
               for g, end in zip(grids, ends)]
-    assert _dual_values(f, stack).tobytes() == np.concatenate(blocks).tobytes()
+    gathered = conjugate_nd(f.values, sp.axes(), stack.queries).ravel()[stack.take]
+    assert gathered.tobytes() == np.concatenate(blocks).tobytes()
+    assert _dual_values(f, stack).tobytes() == gathered.tobytes()

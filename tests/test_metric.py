@@ -27,7 +27,9 @@ from ppgeo import (
     envelope,
     epsilon_family,
     geodesic,
+    grid_stack,
     ma_atomic,
+    ma_mixed_pair,
     minkowski_sum,
     moment_grid,
     pair_from_catalog,
@@ -215,15 +217,19 @@ SQUARE = default_class_body(2).p_body
 TRIANGLE = Body([(0.0, 0.0), (1.0, 0.0), (0.3, 1.0)])
 
 
-@pytest.mark.parametrize("route", [dp_endpoint, dp_dual_oracle, i_p, rooftop, geodesic],
-                         ids=["dp_endpoint", "dp_dual_oracle", "i_p", "rooftop", "geodesic"])
+@pytest.mark.parametrize("route", [dp_endpoint, dp_dual_oracle, i_p, rooftop, geodesic,
+                                   ma_mixed_pair],
+                         ids=["dp_endpoint", "dp_dual_oracle", "i_p", "rooftop", "geodesic",
+                              "ma_mixed_pair"])
 @pytest.mark.parametrize("order", [1, -1], ids=["square_first", "triangle_first"])
 def test_duals_of_two_bodies_with_one_box_do_not_pair(route, order):
     square, triangle = (dual_from_form("dual_quadratic", moment_grid(b, 16))
                         for b in (SQUARE, TRIANGLE))
     assert square.grid.lo == triangle.grid.lo and square.grid.hi == triangle.grid.hi
     assert square.grid != triangle.grid
-    args = (square, triangle)[::order] + ((2.0,) if route in (dp_endpoint, dp_dual_oracle, i_p) else ())
+    last = {dp_endpoint: (2.0,), dp_dual_oracle: (2.0,), i_p: (2.0,),
+            ma_mixed_pair: (SpatialGrid((-2.0, -2.0), (3.0, 3.0), (16, 16)),)}
+    args = (square, triangle)[::order] + last.get(route, ())
     with pytest.raises(ConfigurationError, match="common moment grid"):
         route(*args)
 
@@ -474,8 +480,9 @@ def test_one_transform_for_many_bodies_matches_one_per_body(seed, shape):
     ripple = 0.3 * np.cos(x @ waves.T + rng.uniform(0.0, 2 * np.pi, 2)).sum(axis=1)
     f = SampledFunction(sp, (0.5 * (x**2).sum(axis=1) + ripple).reshape(sp.shape), "ripple")
     bound = None if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
-    duals = to_duals(f, grids)
-    records = envelopes(f, grids, bound)
+    stack = grid_stack(grids)
+    duals = to_duals(f, stack)
+    records = envelopes(f, stack, bound)
     for body, grid, dual, rec in zip(bodies, grids, duals, records, strict=True):
         one = to_dual(f, grid)
         assert dual.body == body and dual.grid == grid

@@ -20,7 +20,9 @@ per axis and ``DualPotential.eval_primal`` once, at its query points; and
 ``conjugate_nd`` runs only in the two transforms: ``_dual_values`` (the
 forward one, which ``to_duals`` cuts into duals and the distance routes
 reduce directly) and ``to_primal``.  A second copy of the conjugate loop
-shows up as a new caller.
+shows up as a new caller.  The stacked layout of a transform is built only
+where its grids are: ``grid_stack`` runs in ``MomentGrid`` (a grid's own
+stack) and in ``epsilon_family``, so no operation builds one per call.
 A load is attributed to the innermost definition whose lines hold it, as
 ``module.name``, or to the module when no definition holds it.
 """
@@ -45,6 +47,7 @@ CALLERS = {
     "conjugate_1d": {"duality._conjugate_along_axis"},
     "_conjugate_along_axis": {"duality.conjugate_nd", "duality.eval_primal"},
     "conjugate_nd": {"duality._dual_values", "duality.to_primal"},
+    "grid_stack": {"grids.MomentGrid", "bodies.epsilon_family"},
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
