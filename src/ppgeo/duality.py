@@ -22,15 +22,15 @@ by one search per hull slope among the queries (``_fill_pieces``), any
 other queries by one search per query among the slopes; both give the same
 floats.  ``conjugate_1d`` scans a line for finite values once and
 copies it only when some value is +inf; a line with none conjugates to
--inf.  A 1d double transform over a slope interval is read off a
-hull (``clamped_hull``), so one hull serves any number of intervals.
-``conjugate_nd`` is one 1d pass per axis (a 1d array is one line, hulled
-as it stands), and ``DualPotential.eval_primal``
-is the first of those passes, at the query points, followed by a max over
-the remaining axes.  One convexification (``convexify_moment_values``)
-serves spatial and moment grids; in 2d it reads the lower facets of the 3d
-hull (``lower_facets``, Qhull) through ``max_affine``, which is also the
-O(N*M) oracle ``conjugate_oracle``.
+-inf.  ``conjugate_nd`` is one 1d pass per axis (a 1d array is one line,
+hulled as it stands), and ``DualPotential.eval_primal`` is the first of
+those passes, at the query points, followed by a max over the remaining
+axes.  One function reads a sampled function's hull at its own samples,
+for any number of bodies (``hull_primals``): every envelope primal reads it
+with its body, and the one convexification (``convexify_moment_values``, on
+spatial and moment grids) with every slope.  In 2d it reads the lower
+facets of the 3d hull (``lower_facets``, Qhull) through ``max_affine``,
+which is also the O(N*M) oracle ``conjugate_oracle``.
 ``gradient`` (first differences) sits beside ``second_differences``.
 """
 from __future__ import annotations
@@ -377,24 +377,60 @@ def clamped_hull(x: np.ndarray, hull: tuple[np.ndarray, np.ndarray, np.ndarray],
     return out
 
 
+def hull_primals(points: np.ndarray, values: np.ndarray,
+                 bodies: list[Body | None]) -> list[np.ndarray]:
+    """sup over q in each body of (<q,x> - f*(q)) at f's own samples, exactly, from one hull of f.
+
+    ``points`` (N, ndim) and ``values`` are the finite samples of f, ascending
+    in 1d; a body of None allows every slope, which gives f's lower convex
+    hull.  q -> <q,x> - f*(q) is concave and piecewise affine, so the sup is
+    attained at a hull slope inside the body or on the body's boundary.  In
+    1d that is the ``lower_hull`` clamped to the body's slope interval
+    (``clamped_hull``).  In 2d the hull slopes are those of the
+    ``lower_facets``, where f*(g) = -c is the facet's offset: the sup is one
+    ``max_affine`` over the planes of the facets whose slopes lie in the
+    body, maxed, per body edge [a, b], with the 1d rule on the edge: <a,x>
+    plus the hull of (<b - a, x_i>, f_i - <a, x_i>) clamped to slopes in
+    [0, 1].
+    """
+    if points.shape[1] == 1:
+        x = points[:, 0]
+        hull = lower_hull(x, values)
+        bounds = [(-np.inf, np.inf) if body is None else body.vertex_array[:, 0] for body in bodies]
+        return [clamped_hull(x, hull, a, b) for a, b in bounds]
+    slopes, offsets, vertices = lower_facets(points, values)
+    xh, vh = points[vertices], values[vertices]
+    out = []
+    for body in bodies:
+        # a body of None keeps every facet plane and has no edge
+        inside = slice(None) if body is None else body.contains(slopes)
+        corners = [] if body is None else body.vertex_array
+        primal = max_affine(points, slopes[inside], offsets[inside])
+        for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+            s, w = xh @ (b - a), vh - xh @ a
+            order = np.lexsort((w, s))
+            first = order[np.unique(s[order], return_index=True)[1]]  # lowest value per projection
+            edge = clamped_hull(points @ (b - a), lower_hull(s[first], w[first]), 0.0, 1.0)
+            primal = np.maximum(primal, points @ a + edge)
+        out.append(primal)
+    return out
+
+
 def convexify_moment_values(grid: MomentGrid | SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex hull of the finite values on a moment or a spatial grid.
 
     Exact in every dimension, +inf wherever the values are +inf: the hull is
-    read at the finite nodes only, so a hole inside them stays +inf.  In 2d a
-    hull vertex keeps its value; every other finite node takes the largest
-    lower-facet plane (``lower_facets``), capped by its value as a rounding
-    guard.
+    ``hull_primals`` with every slope allowed, read at the finite nodes only,
+    so a hole inside them stays +inf.  A needle body's cells are read as 1d
+    samples along their line.  In 2d each node is capped by its value, a
+    guard against facet planes that round above it.
     """
     out, nodes = values.flatten(), tensor_nodes(grid.axes())
     finite = np.flatnonzero(np.isfinite(out))
-    line = nodes[finite] - nodes[finite[0]]
-    if grid.ndim == 2 and np.linalg.matrix_rank(line) == 2:
-        slopes, offsets, vertices = lower_facets(nodes[finite], out[finite])
-        rest = np.delete(finite, vertices)
-        out[rest] = np.minimum(max_affine(nodes[rest], slopes, offsets), out[rest])
-        return out.reshape(values.shape)
-    # an interval's cells, or a needle body's: the 1d hull along their line
-    t = nodes[finite, 0] if grid.ndim == 1 else line @ line[-1]
-    out[finite] = clamped_hull(t, lower_hull(t, out[finite]))
+    points, v = nodes[finite], out[finite]
+    line = points - points[0]
+    if grid.ndim == 2 and np.linalg.matrix_rank(line) < 2:
+        points = (line @ line[-1])[:, None]
+    hull, = hull_primals(points, v, [None])
+    out[finite] = hull if points.shape[1] == 1 else np.minimum(hull, v)
     return out.reshape(values.shape)

@@ -4,10 +4,9 @@ Envelopes are computed through the dual.  The envelope's dual is f*
 restricted to the body's cells, which is all the distance routes read; they
 take it from ``to_duals``.  ``envelopes`` adds the primal and its contact
 set for the moment grids of a ``GridStack``, each on the body it keeps,
-exactly in every dimension from the obstacle's lower hull, found once for
-all the grids, beside one ``to_duals`` call on the stack: in 1d the hull
-clamped to the body's slopes, in 2d the planes of the lower facets whose
-slopes lie in the body, maxed with that 1d rule along each body edge.
+beside one ``to_duals`` call on the stack: one ``duality.hull_primals``
+call reads every body's primal exactly, in every dimension, off one hull
+of the obstacle.
 Obstacle and envelope primal are both ``SampledFunction``s on the
 obstacle's spatial grid.  The envelope measure is ``ma_density`` of that
 primal (in 1d the clamped hull's atoms).
@@ -24,11 +23,8 @@ from .bodies import Body
 from .duality import (
     DualPotential,
     SampledFunction,
-    clamped_hull,
     convexify_moment_values,
-    lower_facets,
-    lower_hull,
-    max_affine,
+    hull_primals,
     second_differences,
     to_duals,
 )
@@ -66,19 +62,14 @@ class EnvelopeRecord:
 
 def envelopes(f: SampledFunction, stack: GridStack,
               hessian_bound: float | None) -> list[EnvelopeRecord]:
-    """The envelope of f over each stacked grid's body: one ``to_duals`` call, one hull of f."""
+    """The envelope of f over each stacked grid's body: one ``to_duals`` call, one ``hull_primals``."""
     duals = to_duals(f, stack)
     c_f = estimate_hessian_bound(f) if hessian_bound is None else float(hessian_bound)
     tol = contact_tolerance(max(f.grid.spacing), c_f)
-    # every body reads the obstacle's lower hull (in 2d its lower facets), found once
-    if f.grid.ndim == 1:
-        hull = lower_hull(f.grid.axes()[0], f.values)
-    else:
-        hull = lower_facets(f.grid.nodes(), f.values.ravel())
+    primals = hull_primals(f.grid.nodes(), f.values.ravel(), [dual.body for dual in duals])
     records = []
-    for dual in duals:
-        primal = SampledFunction(f.grid, _primal_from_hull(f, dual.body, hull),
-                                 f.provenance)
+    for dual, values in zip(duals, primals):
+        primal = SampledFunction(f.grid, values.reshape(f.grid.shape), f.provenance)
         records.append(EnvelopeRecord(f, primal, dual, primal.values >= f.values - tol, c_f, tol))
     return records
 
@@ -91,34 +82,6 @@ def envelope(f: SampledFunction, body: Body, grid: MomentGrid,
     """
     check_body(body, grid)
     return envelopes(f, grid.stack, hessian_bound)[0]
-
-
-def _primal_from_hull(f: SampledFunction, body: Body, hull) -> np.ndarray:
-    """sup over slopes q in the body of (<q,x> - f*(q)) on the obstacle's nodes, exactly.
-
-    ``hull`` is the obstacle's ``lower_hull`` in 1d, which ``clamped_hull``
-    clamps to the body's slope interval, and its ``lower_facets`` in 2d.
-    There the concave, piecewise affine q -> <q,x> - f*(q) peaks on the body's
-    boundary or at a lower-facet slope g inside it, where f*(g) = -c is the
-    facet's offset: the sup is the max of those facets' planes and, per body
-    edge [a, b], the 1d rule on the edge, <a,x> plus the hull of
-    (<b - a, x_i>, f_i - <a, x_i>) clamped to slopes in [0, 1].
-    """
-    if f.grid.ndim == 1:
-        (a,), (b,) = body.bounding_box()
-        return clamped_hull(f.grid.axes()[0], hull, a, b)
-    x, v = f.grid.nodes(), f.values.ravel()
-    slopes, offsets, vertices = hull
-    inside = body.contains(slopes)
-    out = max_affine(x, slopes[inside], offsets[inside])
-    xh, vh, corners = x[vertices], v[vertices], body.vertex_array
-    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-        s, w = xh @ (b - a), vh - xh @ a
-        order = np.lexsort((w, s))
-        first = order[np.unique(s[order], return_index=True)[1]]  # lowest value per projection
-        edge = clamped_hull(x @ (b - a), lower_hull(s[first], w[first]), 0.0, 1.0)
-        out = np.maximum(out, x @ a + edge)
-    return out.reshape(f.grid.shape)
 
 
 def iterative_envelope(f: SampledFunction, start: SampledFunction) -> SampledFunction:

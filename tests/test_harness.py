@@ -86,6 +86,33 @@ def test_epsilon_lemmas_monotone_density(lab):
     assert rep.details["ip_final_gap"] <= 0.02
 
 
+SQUARE_32 = {"dimension": 2, "moment_cells": 32, "suite_pairs": 1,
+             "spatial": {"lo": [-4.0, -4.0], "hi": [5.0, 5.0], "cells": [64, 64]}}
+TRIANGLE_32 = dict(SQUARE_32, p_body=[[0, 0], [1, 0], [0.3, 1]],
+                   q_body=[[-1, -1], [1, -1], [1, 1], [-1, 1]])
+
+
+@pytest.mark.parametrize("cfg", [SQUARE_32, TRIANGLE_32], ids=["square", "triangle"])
+def test_epsilon_lemmas_velocity_gaps_decay_along_the_schedule(cfg):
+    # both ends of the difference quotient come off the one geodesic, so the
+    # gap to the limit body's integrand shrinks as the class closes; against
+    # the exact envelope primal the O(h) gap between the two samplings swamps it
+    gaps = check_epsilon_lemmas(Experiment(dict(DEFAULT_CONFIG, **cfg)).lab(), 2.0) \
+        .details["velocity_l1_gaps"]
+    assert len(gaps) == 7
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@pytest.mark.parametrize("cfg", [{}, SQUARE_32], ids=["1d", "square"])
+def test_epsilon_lemmas_density_bound_is_the_measured_obstacles(cfg):
+    # only the quadratic obstacle's envelope densities are measured: its bound, 1, per axis
+    lab = Experiment(dict(DEFAULT_CONFIG, **cfg)).lab()
+    bound = ppgeo.harness.CLOSED_FORMS["quadratic"].hessian_bound
+    assert ppgeo.harness.EPSILON_OBSTACLES[0] == "quadratic" and bound == 1.0
+    rep = check_epsilon_lemmas(lab, 2.0)
+    assert rep.details["density_bound"] == bound ** lab.klass.ndim * 1.01 == 1.01
+
+
 def test_unknown_suite_rejected(lab):
     with pytest.raises(KeyError):
         run_suites(["nope"], lab, 2.0)

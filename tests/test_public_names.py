@@ -23,6 +23,9 @@ reduce directly) and ``to_primal``.  A second copy of the conjugate loop
 shows up as a new caller.  The stacked layout of a transform is built only
 where its grids are: ``grid_stack`` runs in ``MomentGrid`` (a grid's own
 stack) and in ``epsilon_family``, so no operation builds one per call.
+The hull kernels have one reader: ``lower_facets`` and ``clamped_hull``
+run only in ``hull_primals``, which the convexification and every envelope
+primal call, and ``max_affine`` there and in the oracle ``conjugate_oracle``.
 A load is attributed to the innermost definition whose lines hold it, as
 ``module.name``, or to the module when no definition holds it.
 """
@@ -48,6 +51,9 @@ CALLERS = {
     "_conjugate_along_axis": {"duality.conjugate_nd", "duality.eval_primal"},
     "conjugate_nd": {"duality._dual_values", "duality.to_primal"},
     "grid_stack": {"grids.MomentGrid", "bodies.epsilon_family"},
+    "lower_facets": {"duality.hull_primals"},
+    "clamped_hull": {"duality.hull_primals"},
+    "max_affine": {"duality.hull_primals", "duality.conjugate_oracle"},
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
