@@ -1,9 +1,9 @@
-"""Compare this checkout with a git revision: CLI outputs, dp_limit floats, benchmark metrics.
+"""Compare this checkout with a git revision: CLI outputs, route floats, benchmark metrics.
 
     python scripts/ab.py --against REV [--pairs 10] [--seconds 15] [--workloads limit_1d verify_cli]
 
-REV is checked out with ``git worktree`` in a temporary directory, which is
-removed afterwards; no network is needed.  Three comparisons follow, each
+REV is exported with ``git archive`` into a temporary directory, which is
+removed afterwards; no network is needed.  Four comparisons follow, each
 side running its own ``src/`` in fresh processes:
 
 - the CLI matrix: every command, and every ``distance`` route, on the 1d
@@ -13,6 +13,10 @@ side running its own ``src/`` in fresh processes:
 - ``dp_limit(...).to_dict()`` with every float in hex, on the three obstacle
   pairs of the ``limit_1d`` workload, at p = 1, 1.5, 2 and 3, seeds 20240
   and 861317;
+- every ``curve_checks`` key, ``energy`` of both ends and ``d1_energy``, each
+  float in hex (an error by its type name), on ``random_dual_pairs(20240, 6,
+  ...)`` and the five catalog pairs, in 1d at 1024 / 2048 and on the unit
+  square at 32 / 64²;
 - ``--pairs`` alternating ``perfbench/run.py`` runs per workload (the side
   that runs first alternates): each end-to-end metric's median per side, the
   revision's interquartile range relative to its median, and the number of
@@ -68,7 +72,29 @@ for seed in (20240, 861317):
     fmin = SampledFunction(spatial, np.minimum(fu.values, fv.values), "min")
     for a, b in ((fu, fv), (fu, fmin), (fv, fmin)):
         for p in (1.0, 1.5, 2.0, 3.0):
-            print(seed, a.provenance, b.provenance, p, json.dumps(hexed(ppgeo.dp_limit(a, b, family, p).to_dict()), sort_keys=True))
+            report = json.dumps(hexed(ppgeo.dp_limit(a, b, family, p).to_dict()), sort_keys=True)
+            print(f"{seed} {a.provenance} {b.provenance} {p}\t{report}")
+"""
+CURVE_HEX = r"""
+import ppgeo
+from ppgeo import SpatialGrid, curve_checks, d1_energy, default_class_body, energy, geodesic
+from ppgeo.corpus import PAIR_CATALOG, pair_from_catalog, random_dual_pairs
+def shown(f, *args):
+    try:
+        return float(f(*args)).hex()
+    except Exception as e:
+        return type(e).__name__
+for n, cells, nodes in ((1, 1024, 2048), (2, 32, 64)):
+    body = default_class_body(n).p_body
+    grid, spatial = ppgeo.moment_grid(body, cells), SpatialGrid((-4.0,) * n, (5.0,) * n, (nodes,) * n)
+    pairs = [(f"seed20240-{i}", u, v) for i, (u, v) in enumerate(random_dual_pairs(20240, 6, body, grid))]
+    pairs += [(name, *pair_from_catalog(name, grid)) for name in PAIR_CATALOG]
+    for name, u, v in pairs:
+        for key, value in curve_checks(geodesic(u, v), spatial).items():
+            print(f"{n}d {name} {key}\t{float(value).hex()}")
+        print(f"{n}d {name} energy u0\t{shown(energy, u, spatial)}")
+        print(f"{n}d {name} energy u1\t{shown(energy, v, spatial)}")
+        print(f"{n}d {name} d1_energy\t{shown(d1_energy, u, v, spatial)}")
 """
 
 
@@ -113,12 +139,13 @@ def compare_matrix(rev_tree: Path, scratch: Path) -> None:
     print(f"CLI matrix: {same} of {len(sides['rev'])} runs identical")
 
 
-def compare_limit(rev_tree: Path) -> None:
-    outs = [subprocess.run([sys.executable, "-c", LIMIT_HEX], cwd=tree, env=env_for(tree),
+def compare_hex(rev_tree: Path, script: str, label: str, noun: str) -> None:
+    """Run a script printing ``key<TAB>value`` lines on both sides and count the equal lines."""
+    outs = [subprocess.run([sys.executable, "-c", script], cwd=tree, env=env_for(tree),
                            capture_output=True, text=True, check=True).stdout.splitlines()
             for tree in (rev_tree, ROOT)]
-    differ = [a.split(" {")[0] for a, b in zip(*outs) if a != b]
-    print(f"dp_limit float hex: {len(outs[0]) - len(differ)} of {len(outs[0])} reports identical"
+    differ = [a.split("\t")[0] for a, b in zip(*outs) if a != b]
+    print(f"{label}: {len(outs[0]) - len(differ)} of {len(outs[0])} {noun} identical"
           + "".join(f"\n  DIFFERS {d}" for d in differ))
 
 
@@ -164,15 +191,17 @@ def main(argv=None) -> int:
         parser.error("--pairs needs 2 or more runs per side for quartiles")
     scratch = Path(tempfile.mkdtemp(prefix="ppgeo-ab-"))
     rev_tree = scratch / "rev"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                    str(rev_tree), args.against], check=True)
     try:
+        rev_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive, check=True)
         print(f"this checkout against {args.against}")
         compare_matrix(rev_tree, scratch)
-        compare_limit(rev_tree)
+        compare_hex(rev_tree, LIMIT_HEX, "dp_limit float hex", "reports")
+        compare_hex(rev_tree, CURVE_HEX, "curve_checks/energy float hex", "values")
         compare_bench(rev_tree, args.workloads, args.pairs, args.seconds)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(rev_tree)])
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
 

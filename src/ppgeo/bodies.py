@@ -164,17 +164,13 @@ class EpsilonFamily:
     and, last, the base grid of the limiting body P at the same cells: one
     forward transform onto all of them and one reduction of the endpoint
     formula read it, and nothing about the grids is rebuilt per call.
-    ``grids``, ``base_grid`` and ``volumes`` are read off it.
+    ``base_grid`` and ``volumes`` are read off it.
     """
 
     base: ClassBody
     schedule: tuple
     cells: tuple
     stack: GridStack = field(compare=False)
-
-    @property
-    def grids(self) -> tuple:
-        return self.stack.grids[:-1]
 
     @property
     def base_grid(self) -> MomentGrid:

@@ -137,7 +137,7 @@ def check_max_inequality(lab: Lab, p: float) -> TheoremReport:
         rhs = dp_endpoint(v, roof, p)
         slacks.append(max(0.0, rhs - lhs) / max(1.0, rhs))
         duv = dp_endpoint(u, v, p) ** p
-        dsum = dp_endpoint(u, vmax, p) ** p + dp_endpoint(v, vmax, p) ** p
+        dsum = lhs ** p + dp_endpoint(v, vmax, p) ** p
         remark_slacks.append(max(0.0, duv - dsum) / max(1.0, duv))
     return TheoremReport(
         suite="max_inequality",
@@ -156,9 +156,10 @@ def check_geodesic_metric(lab: Lab, p: float) -> TheoremReport:
     for u, v in lab.pairs:
         curve = geodesic(u, v)
         base = dp_endpoint(u, v, p)
-        for t in ts:
-            for s in ts:
-                d = dp_endpoint(curve.potential_at(t), curve.potential_at(s), p)
+        potentials = [curve.potential_at(t) for t in ts]
+        for t, ut in zip(ts, potentials):
+            for s, us in zip(ts, potentials):
+                d = dp_endpoint(ut, us, p)
                 slacks.append(abs(d - abs(t - s) * base) / max(base, 1e-15))
     return TheoremReport(
         suite="geodesic_metric",

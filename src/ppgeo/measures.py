@@ -146,23 +146,26 @@ def energy(u: DualPotential, spatial_grid: SpatialGrid) -> float:
     1d: E = (1/2 vol) [ int (u-V) dMA(u) + int (u-V) dMA(V) ].
     2d: the middle term integrates against the mixed measure, polarized on
     the spatial grid (which 1d does not read), so the body must fill its box.
+    MA(V) is every positive cell weight at the origin: V* = 0, and each cell
+    of an interval or a box has a neighbour along every axis, so the dual
+    gradient is 0 at every cell, and (u-V)(0) is evaluated once.
     """
     require_minimal_singularities(u)
     body = u.body
     vol = body.volume()
-    if u.grid.ndim == 2 and not np.isclose(vol, np.prod(np.ptp(body.vertex_array, axis=0))):
+    n = u.grid.ndim
+    if n == 2 and not np.isclose(vol, np.prod(np.ptp(body.vertex_array, axis=0))):
         raise ConfigurationError("2d energy needs a body that fills its bounding box")
-    vzero = DualPotential(body, u.grid, np.zeros(u.grid.shape), provenance="minimal")
     mau = ma_atomic(u)
-    mav = ma_atomic(vzero)
+    w = u.grid.weights.ravel()
     terms = [
         mau.integrate(_relative_values(u, mau.locations)),
-        mav.integrate(_relative_values(u, mav.locations)),
+        float(np.sum(w[w > 0] * _relative_values(u, np.zeros((1, n))))),
     ]
-    if u.grid.ndim == 2:
+    if n == 2:
+        vzero = DualPotential(body, u.grid, np.zeros(u.grid.shape), provenance="minimal")
         mixed = ma_mixed_pair(u, vzero, spatial_grid)
         terms.insert(1, mixed.integrate(_relative_values(u, mixed.locations)))
-    n = u.grid.ndim
     return float(sum(terms) / ((n + 1) * vol))
 
 

@@ -244,28 +244,20 @@ def dp_singular(u0: DualPotential, u1: DualPotential, p: float) -> DistanceRepor
 
     The cap-M truncations decrease (in primal) to the endpoints; the
     distances between truncations form a Cauchy sequence whose increments
-    are controlled by I_p between consecutive truncations.
+    are controlled by I_p between consecutive truncations.  The ladder of
+    truncation pairs is built once and read twice: for the distances, then
+    for the I_p bounds of consecutive rungs.
     """
-    table = []
-    trunc_prev = None
-    increments = []
-    ip_bounds = []
-    for cap in SINGULAR_CAPS:
-        t0 = truncate_dual(u0, cap)
-        t1 = truncate_dual(u1, cap)
-        d = dp_endpoint(t0, t1, p)
-        if trunc_prev is not None:
-            s0, s1, d_prev = trunc_prev
-            increments.append(abs(d - d_prev))
-            ip_bounds.append(
-                i_p(s0, t0, p) ** (1.0 / p) + i_p(s1, t1, p) ** (1.0 / p)
-            )
-        trunc_prev = (t0, t1, d)
-        # the table's middle column holds the (fixed) class volume here
-        table.append((cap, u0.body.volume(), d))
+    ladder = [(truncate_dual(u0, cap), truncate_dual(u1, cap)) for cap in SINGULAR_CAPS]
+    distances = [dp_endpoint(t0, t1, p) for t0, t1 in ladder]
+    increments = [abs(d - d_prev) for d_prev, d in zip(distances, distances[1:])]
+    ip_bounds = [i_p(s0, t0, p) ** (1.0 / p) + i_p(s1, t1, p) ** (1.0 / p)
+                 for (s0, s1), (t0, t1) in zip(ladder, ladder[1:])]
+    # the table's middle column holds the (fixed) class volume here
+    table = [(cap, u0.body.volume(), d) for cap, d in zip(SINGULAR_CAPS, distances)]
     return DistanceReport(
         p=p,
-        value=table[-1][2],
+        value=distances[-1],
         route="singular_limit",
         table=table,
         last_increment=increments[-1],

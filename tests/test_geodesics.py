@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from ppgeo import (
     pair_from_catalog,
 )
 from ppgeo.corpus import random_dual_pairs
+from ppgeo.geodesics import T_SAMPLES
 
 KLASS = default_class_body(1)
 GRID = moment_grid(KLASS.p_body, 1024)
@@ -66,12 +69,6 @@ def test_crossing_pair_midpoint_value():
     assert vals[i] == pytest.approx(-0.5, abs=1e-6)
 
 
-def test_velocity_is_dual_difference():
-    u, v = pair_from_catalog("quadratic_pair", GRID)
-    c = geodesic(u, v)
-    assert np.array_equal(c.dual_difference(), v.values - u.values)
-
-
 def test_curve_checks_on_corpus():
     h = max(SPATIAL.spacing)
     for u, v in random_dual_pairs(13, 5, KLASS.p_body, GRID):
@@ -118,12 +115,29 @@ def test_masked_endpoints_stay_singular_without_warnings():
     assert all(np.isfinite(value) for value in ck.values())
 
 
-def test_masked_velocity_is_zero_off_the_body_without_warnings():
-    grid, u, v = _masked_triangle_pair()
-    curve = geodesic(u, v)
-    on = grid.mask
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vel = curve.dual_difference()
-    assert np.array_equal(vel[on], v.values[on] - u.values[on])
-    assert (vel[~on] == 0.0).all()
+def _lipschitz_cases():
+    """The seeded 1d corpus, the masked triangle pair and the singular catalog pair."""
+    for u, v in random_dual_pairs(13, 5, KLASS.p_body, GRID):
+        yield geodesic(u, v), SPATIAL
+    _, u, v = _masked_triangle_pair()
+    yield geodesic(u, v), SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+    yield geodesic(*pair_from_catalog("log_barrier_singular", GRID)), SPATIAL
+
+
+def test_lipschitz_pair_equals_the_all_pairs_and_both_finite_maxima():
+    # the adjacent sample times bound every chord, so reading only them changes no float
+    for curve, grid in _lipschitz_cases():
+        samples = [curve.primal_at(t, grid) for t in T_SAMPLES]
+        all_pairs = max(
+            float(np.abs(samples[j] - samples[i]).max()) / (T_SAMPLES[j] - T_SAMPLES[i])
+            for i, j in itertools.combinations(range(len(T_SAMPLES)), 2)
+        )
+        both_finite = max(
+            (abs(b - a) for a, b in zip(curve.u0.values.ravel().tolist(),
+                                        curve.u1.values.ravel().tolist())
+             if math.isfinite(a) and math.isfinite(b)),
+            default=0.0,
+        )
+        ck = curve_checks(curve, grid)
+        assert ck["lipschitz_measured"] == all_pairs
+        assert ck["lipschitz_bound"] == both_finite

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ppgeo import (
+    Body,
+    DualPotential,
     SpatialGrid,
     default_class_body,
     dual_from_form,
@@ -118,8 +120,6 @@ def test_2d_energy_affine_dual():
     sp = SpatialGrid((-3.0, -3.0), (4.0, 4.0), (128, 128))
     ax = grid.axes()
     P1, P2 = np.meshgrid(ax[0], ax[1], indexing="ij")
-    from ppgeo import DualPotential
-
     u = DualPotential(klass.p_body, grid, P1 + 0.5 * P2, "affine")
     # dual oracle: -(1/vol) * integral of (p1 + p2/2) over the unit square
     assert energy(u, sp) == pytest.approx(-0.75, abs=5e-3)
@@ -133,3 +133,32 @@ def test_2d_energy_with_a_massless_mixed_measure():
     sp = SpatialGrid((1.0, 1.0), (2.0, 2.0), (8, 8))
     assert ma_mixed_pair(u, u, sp).locations.shape == (0, 2)
     assert energy(u, sp) == 0.0
+
+
+def _energy_with_the_pushed_zero_dual(u, spatial):
+    """The energy with MA(V) as the atomic pushforward of the zero dual."""
+    n, body = u.grid.ndim, u.body
+    vzero = DualPotential(body, u.grid, np.zeros(u.grid.shape), "minimal")
+
+    def against(m):
+        return m.integrate(u.eval_primal(m.locations) - body.support_many(m.locations))
+
+    terms = [against(ma_atomic(u)), against(ma_atomic(vzero))]
+    if n == 2:
+        terms.insert(1, against(ma_mixed_pair(u, vzero, spatial)))
+    return float(sum(terms) / ((n + 1) * body.volume()))
+
+
+@pytest.mark.parametrize("body, cells, spatial", [
+    (KLASS.p_body, 1024, SPATIAL),
+    (default_class_body(2).p_body, 32, SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64))),
+    (Body([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]), 16,
+     SpatialGrid((-4.0, -4.0), (5.0, 5.0), (64, 64))),
+], ids=["interval", "square", "rectangle"])
+def test_energy_reads_ma_of_the_minimal_potential_at_the_origin(body, cells, spatial):
+    # the zero dual's gradient is 0 on every cell: its pushforward is the weights at 0
+    grid = moment_grid(body, cells)
+    duals = [w for pair in random_dual_pairs(7, 2, body, grid) for w in pair]
+    duals.append(dual_from_form("dual_zero", grid))
+    for u in duals:
+        assert energy(u, spatial) == _energy_with_the_pushed_zero_dual(u, spatial)

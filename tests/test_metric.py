@@ -282,7 +282,7 @@ def test_limit_hulls_each_obstacle_once(monkeypatch):
     # transforms, and only the base pair becomes duals, for the oracle; the
     # family holds its stacked cells, weights and volumes, so only the oracle
     # measures a body
-    assert len(family.grids) == 7
+    assert len(family.stack.grids[:-1]) == 7
     assert (len(hulls), len(envelopes), len(grids)) == (2, 0, 0)
     assert (len(built), len(cut), len(measured)) == (2, 0, 1)
 
@@ -309,7 +309,7 @@ def test_1d_epsilon_lemmas_hulls_its_obstacle_once_per_transform(monkeypatch):
     # on the obstacle's nodes: its transform, the other obstacle's, and one
     # hull that the envelope primals of the base body and the 7 perturbed ones share
     nodes = len(lab.spatial.axes()[0])
-    assert (nodes, len(lab.family.grids)) == (2049, 7)
+    assert (nodes, len(lab.family.stack.grids[:-1])) == (2049, 7)
     assert sum(len(x) == nodes for x, _ in hulls) == 3
 
 
@@ -321,7 +321,7 @@ def test_2d_epsilon_lemmas_hulls_its_obstacle_once(monkeypatch):
     # the suite samples its obstacles afresh; the base body and the 7 perturbed ones share a hull,
     # and each of the 8 envelope primals reads its facet planes in one max over planes
     check_epsilon_lemmas(lab, 2.0)
-    assert len(lab.family.grids) == 7
+    assert len(lab.family.stack.grids[:-1]) == 7
     assert (len(facets), len(planes)) == (1, 8)
 
 
@@ -338,7 +338,7 @@ def _assert_limit_matches_full_envelopes(f0, f1, family, ps=(1.0, 1.5, 2.0, 3.0)
     base_grid = moment_grid(family.base.p_body, family.cells)
     *duals, (b0, b1) = [
         (envelope(f0, grid.body, grid).dual, envelope(f1, grid.body, grid).dual)
-        for grid in family.grids + (base_grid,)
+        for grid in family.stack.grids[:-1] + (base_grid,)
     ]
     for p in ps:
         rep = dp_limit(f0, f1, family, p)
@@ -379,7 +379,7 @@ def test_limit_matches_full_envelopes_triangle():
     klass = ClassBody(Body([(0, 0), (1, 0), (0.3, 1)]), default_class_body(2).q_body)
     family = epsilon_family(klass, 16)
     # each eps-grid has its own mask, so the table's rows sum over different cells
-    assert len({int(g.mask.sum()) for g in family.grids}) == len(family.grids)
+    assert len({int(g.mask.sum()) for g in family.stack.grids[:-1]}) == len(family.stack.grids[:-1])
     _assert_limit_matches_full_envelopes(*_quadratic_obstacles(), family)
 
 
